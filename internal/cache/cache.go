@@ -8,10 +8,11 @@
 // build on it.
 package cache
 
-// Line is one cache line. Slices are sized to the configured words per
-// line at allocation and reused across occupancies.
+// Line is one cache line. The per-word slices are fixed windows into the
+// cache's shared per-field arrays, sized to the configured words per line
+// and reused across occupancies.
 type Line struct {
-	Tag    uint32 // line address (byte address >> lineShift)
+	Tag    uint32 // line address (byte address >> lineShift); stale once !Valid
 	Valid  bool
 	State  uint8    // protocol-defined per-line state
 	WState []uint8  // protocol-defined per-word state
@@ -21,16 +22,18 @@ type Line struct {
 	MInst  []uint64 // per-word memory-fetch instance ids (Figure 4.3)
 	Region uint8    // region id of the request that allocated the line
 	lru    uint64
-	way    int
 }
 
-// Cache is a set-associative array.
+// Cache is a set-associative array. Lines are stored by value, set-major:
+// set s owns lines[s*assoc : (s+1)*assoc]. There is no address index; a
+// lookup scans the set's ways (at most 16 in any configuration), matching
+// valid lines only, since an invalidated way keeps its stale Tag.
 type Cache struct {
-	sets      [][]*Line
-	index     map[uint32]*Line // line address -> resident line
+	lines     []Line
 	assoc     int
 	numSets   uint32
 	wordsPer  int
+	valid     int // valid lines
 	lruClock  uint64
 	Evictions uint64
 }
@@ -45,25 +48,26 @@ func New(sizeBytes, assoc, lineBytes int) *Cache {
 		panic("cache: set count must be a positive power of two")
 	}
 	c := &Cache{
+		lines:    make([]Line, lines),
 		assoc:    assoc,
 		numSets:  uint32(numSets),
 		wordsPer: lineBytes / 4,
-		index:    make(map[uint32]*Line, lines),
 	}
-	c.sets = make([][]*Line, numSets)
-	for s := range c.sets {
-		ways := make([]*Line, assoc)
-		for w := range ways {
-			ways[w] = &Line{
-				WState: make([]uint8, c.wordsPer),
-				Data:   make([]uint32, c.wordsPer),
-				Owner:  make([]uint8, c.wordsPer),
-				Inst:   make([]uint64, c.wordsPer),
-				MInst:  make([]uint64, c.wordsPer),
-				way:    w,
-			}
+	wp := c.wordsPer
+	wstate := make([]uint8, lines*wp)
+	data := make([]uint32, lines*wp)
+	owner := make([]uint8, lines*wp)
+	inst := make([]uint64, lines*wp)
+	minst := make([]uint64, lines*wp)
+	for i := range c.lines {
+		lo, hi := i*wp, (i+1)*wp
+		c.lines[i] = Line{
+			WState: wstate[lo:hi:hi],
+			Data:   data[lo:hi:hi],
+			Owner:  owner[lo:hi:hi],
+			Inst:   inst[lo:hi:hi],
+			MInst:  minst[lo:hi:hi],
 		}
-		c.sets[s] = ways
 	}
 	return c
 }
@@ -77,12 +81,21 @@ func (c *Cache) Sets() int { return int(c.numSets) }
 // Assoc returns the associativity.
 func (c *Cache) Assoc() int { return c.assoc }
 
-func (c *Cache) setOf(lineAddr uint32) []*Line { return c.sets[lineAddr&(c.numSets-1)] }
+func (c *Cache) setOf(lineAddr uint32) []Line {
+	s := int(lineAddr&(c.numSets-1)) * c.assoc
+	return c.lines[s : s+c.assoc]
+}
 
 // Lookup returns the resident line for lineAddr, or nil. It does not touch
 // LRU state; call Touch on a hit that should refresh recency.
 func (c *Cache) Lookup(lineAddr uint32) *Line {
-	return c.index[lineAddr]
+	set := c.setOf(lineAddr)
+	for i := range set {
+		if l := &set[i]; l.Valid && l.Tag == lineAddr {
+			return l
+		}
+	}
+	return nil
 }
 
 // Touch marks a line most recently used.
@@ -98,7 +111,8 @@ func (c *Cache) Touch(l *Line) {
 func (c *Cache) Victim(lineAddr uint32) *Line {
 	set := c.setOf(lineAddr)
 	var victim *Line
-	for _, l := range set {
+	for i := range set {
+		l := &set[i]
 		if !l.Valid {
 			return l
 		}
@@ -116,7 +130,8 @@ func (c *Cache) Victim(lineAddr uint32) *Line {
 func (c *Cache) VictimWhere(lineAddr uint32, ok func(*Line) bool) *Line {
 	set := c.setOf(lineAddr)
 	var victim *Line
-	for _, l := range set {
+	for i := range set {
+		l := &set[i]
 		if !l.Valid {
 			return l
 		}
@@ -135,51 +150,49 @@ func (c *Cache) VictimWhere(lineAddr uint32, ok func(*Line) bool) *Line {
 // for the victim first (see Victim). Word state, data, owner and instance
 // slices are zeroed; Valid is set and LRU refreshed.
 func (c *Cache) Allocate(lineAddr uint32) *Line {
-	if l := c.index[lineAddr]; l != nil {
+	if l := c.Lookup(lineAddr); l != nil {
 		c.Touch(l)
 		return l
 	}
 	l := c.Victim(lineAddr)
 	if l.Valid {
-		delete(c.index, l.Tag)
 		c.Evictions++
+	} else {
+		c.valid++
 	}
 	l.Tag = lineAddr
 	l.Valid = true
 	l.State = 0
 	l.Region = 0
-	for i := 0; i < c.wordsPer; i++ {
-		l.WState[i] = 0
-		l.Data[i] = 0
-		l.Owner[i] = 0
-		l.Inst[i] = 0
-		l.MInst[i] = 0
-	}
-	c.index[lineAddr] = l
+	clear(l.WState)
+	clear(l.Data)
+	clear(l.Owner)
+	clear(l.Inst)
+	clear(l.MInst)
 	c.Touch(l)
 	return l
 }
 
 // Remove invalidates a resident line (protocol invalidation or recall).
+// The way keeps its stale Tag; only Valid lines are ever matched.
 func (c *Cache) Remove(l *Line) {
 	if !l.Valid {
 		return
 	}
-	delete(c.index, l.Tag)
 	l.Valid = false
+	c.valid--
 }
 
 // Occupancy returns the number of valid lines.
-func (c *Cache) Occupancy() int { return len(c.index) }
+func (c *Cache) Occupancy() int { return c.valid }
 
-// ForEach visits every valid line. The visitor must not allocate or remove
-// lines; it may mutate word state (used for self-invalidation sweeps).
+// ForEach visits every valid line, set by set. The visitor must not
+// allocate or remove lines; it may mutate word state (used for
+// self-invalidation sweeps).
 func (c *Cache) ForEach(f func(*Line)) {
-	for _, set := range c.sets {
-		for _, l := range set {
-			if l.Valid {
-				f(l)
-			}
+	for i := range c.lines {
+		if l := &c.lines[i]; l.Valid {
+			f(l)
 		}
 	}
 }

@@ -132,13 +132,16 @@ func TestSetConflictsOnly(t *testing.T) {
 
 // Property: the cache agrees with a reference model (map + per-set LRU
 // lists) under a random stream of allocate/remove/touch operations.
+// Removed lines keep their stale Tag on the invalid way, so every address
+// is checked both ways — resident ones must hit, all others must miss —
+// and Occupancy must agree with both the model and a ForEach count.
 func TestReferenceModelProperty(t *testing.T) {
 	type ref struct {
 		order []uint32 // resident line addrs per set, LRU first
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		const sets, ways = 4, 2
+		const sets, ways, addrs = 4, 2, 16
 		c := New(sets*ways*64, ways, 64)
 		refs := make([]ref, sets)
 		find := func(r *ref, a uint32) int {
@@ -150,10 +153,10 @@ func TestReferenceModelProperty(t *testing.T) {
 			return -1
 		}
 		for op := 0; op < 400; op++ {
-			addr := uint32(rng.Intn(16))
+			addr := uint32(rng.Intn(addrs))
 			s := addr % sets
 			r := &refs[s]
-			switch rng.Intn(3) {
+			switch rng.Intn(4) {
 			case 0: // allocate
 				if i := find(r, addr); i == -1 {
 					if len(r.order) == ways { // evict LRU
@@ -180,20 +183,33 @@ func TestReferenceModelProperty(t *testing.T) {
 					i := find(r, addr)
 					r.order = append(r.order[:i:i], r.order[i+1:]...)
 				}
-			}
-			// Check residency agreement.
-			for _, rr := range refs {
-				for _, a := range rr.order {
-					if c.Lookup(a) == nil {
+			case 3: // remove the victim: the LRU line, or an already-invalid way (no-op)
+				v := c.Victim(addr)
+				if v.Valid {
+					if len(r.order) != ways || v.Tag != r.order[0] {
 						return false
 					}
+					r.order = r.order[1:]
+				}
+				c.Remove(v)
+			}
+			// Check residency agreement for every address, both ways.
+			for a := uint32(0); a < addrs; a++ {
+				l := c.Lookup(a)
+				if resident := find(&refs[a%sets], a) != -1; resident != (l != nil) {
+					return false
+				}
+				if l != nil && (l.Tag != a || !l.Valid) {
+					return false
 				}
 			}
 			total := 0
 			for _, rr := range refs {
 				total += len(rr.order)
 			}
-			if c.Occupancy() != total {
+			visited := 0
+			c.ForEach(func(*Line) { visited++ })
+			if c.Occupancy() != total || visited != total {
 				return false
 			}
 		}

@@ -51,6 +51,17 @@ type coreState struct {
 	storeAddr    uint32
 	storeVal     uint32
 	active       bool
+
+	// The core's one outstanding load: its address, issue cycle and the
+	// value the oracle expects.
+	loadAddr   uint32
+	loadT0     int64
+	loadExpect uint32
+
+	// Callbacks bound once per core, so stepping and loading build no
+	// closure per operation.
+	step     func()
+	loadDone func(val uint32, s memsys.Sample)
 }
 
 // NewRunner wires a program and protocol onto an environment. The
@@ -64,8 +75,10 @@ func NewRunner(env *memsys.Env, proto memsys.Protocol, prog memsys.Program) *Run
 		oracle: make([]uint32, len(env.Mem)),
 		cores:  make([]coreState, prog.Threads()),
 	}
-	for c := 0; c < prog.Threads(); c++ {
-		c := c
+	for c := range r.cores {
+		cs := &r.cores[c]
+		cs.step = func() { r.step(c) }
+		cs.loadDone = func(val uint32, s memsys.Sample) { r.loadDone(c, val, s) }
 		proto.SetStoreUnstall(c, func() { r.retryStore(c) })
 	}
 	return r
@@ -115,8 +128,7 @@ func (r *Runner) beginPhase(p int) {
 		r.prog.EmitOps(p, c, func(o memsys.Op) { cs.ops = append(cs.ops, o) })
 		cs.pc = 0
 		cs.active = true
-		c := c
-		r.env.K.After(0, func() { r.step(c) })
+		r.env.K.After(0, cs.step)
 	}
 }
 
@@ -134,29 +146,11 @@ func (r *Runner) step(c int) {
 		switch op.Kind {
 		case memsys.OpCompute:
 			r.Times[c].Busy += int64(op.Cycles)
-			r.env.K.After(int64(op.Cycles), func() { r.step(c) })
+			r.env.K.After(int64(op.Cycles), cs.step)
 			return
 		case memsys.OpLoad:
-			t0 := r.env.K.Now()
-			expect := r.oracle[op.Addr>>2]
-			r.proto.Load(c, op.Addr, func(val uint32, s memsys.Sample) {
-				if val != expect && r.oracleErr == nil {
-					r.oracleErr = fmt.Errorf(
-						"core: oracle violation %s/%s: core %d load %#x = %d, want %d (phase %d, cycle %d)",
-						r.proto.Name(), r.prog.Name(), c, op.Addr, val, expect, r.phase, r.env.K.Now())
-					r.ViolationAddr = op.Addr
-					if r.OnViolation != nil {
-						r.OnViolation(op.Addr)
-					}
-				}
-				stall := r.env.K.Now() - t0
-				if s.Point == memsys.PointL1 {
-					r.Times[c].Busy += stall // pipelined L1 hit
-				} else {
-					r.Times[c].AddStall(stall, s)
-				}
-				r.step(c)
-			})
+			cs.loadAddr, cs.loadT0, cs.loadExpect = op.Addr, r.env.K.Now(), r.oracle[op.Addr>>2]
+			r.proto.Load(c, op.Addr, cs.loadDone)
 			return
 		case memsys.OpStore:
 			r.valCounter++
@@ -170,6 +164,28 @@ func (r *Runner) step(c int) {
 			}
 		}
 	}
+}
+
+// loadDone completes core c's outstanding load: it checks the value
+// against the oracle, charges the stall, and resumes the core.
+func (r *Runner) loadDone(c int, val uint32, s memsys.Sample) {
+	cs := &r.cores[c]
+	if val != cs.loadExpect && r.oracleErr == nil {
+		r.oracleErr = fmt.Errorf(
+			"core: oracle violation %s/%s: core %d load %#x = %d, want %d (phase %d, cycle %d)",
+			r.proto.Name(), r.prog.Name(), c, cs.loadAddr, val, cs.loadExpect, r.phase, r.env.K.Now())
+		r.ViolationAddr = cs.loadAddr
+		if r.OnViolation != nil {
+			r.OnViolation(cs.loadAddr)
+		}
+	}
+	stall := r.env.K.Now() - cs.loadT0
+	if s.Point == memsys.PointL1 {
+		r.Times[c].Busy += stall // pipelined L1 hit
+	} else {
+		r.Times[c].AddStall(stall, s)
+	}
+	r.step(c)
 }
 
 // retryStore resumes a core blocked on a full store buffer.

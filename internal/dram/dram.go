@@ -60,6 +60,12 @@ type Channel struct {
 	bankMask     uint32
 	schedPending bool
 
+	// Kernel callbacks bound once at construction, so scheduling a
+	// decision, a wakeup or a burst completion builds no closure.
+	schedFn func()
+	wakeFn  func()
+	burstFn func(any) // arg: the completing *Request
+
 	// Stats.
 	Reads, Writes           uint64
 	RowHits, RowMisses      uint64
@@ -79,10 +85,12 @@ func NewChannel(k *sim.Kernel, cfg Config) *Channel {
 	for 1<<shift < cfg.RowBytes {
 		shift++
 	}
-	return &Channel{
+	c := &Channel{
 		cfg: cfg, k: k, banks: make([]bank, cfg.Banks),
 		rowShift: shift, bankMask: uint32(cfg.Banks - 1),
 	}
+	c.schedFn, c.wakeFn, c.burstFn = c.deferredSchedule, c.wake, c.burstDone
+	return c
 }
 
 // QueueLen reports the number of requests waiting to issue.
@@ -96,11 +104,32 @@ func (c *Channel) Submit(r *Request) {
 	c.queue = append(c.queue, r)
 	if !c.schedPending {
 		c.schedPending = true
-		c.k.After(0, func() {
-			c.schedPending = false
-			c.schedule()
-		})
+		c.k.After(0, c.schedFn)
 	}
+}
+
+// deferredSchedule is the end-of-cycle scheduling decision Submit arms.
+func (c *Channel) deferredSchedule() {
+	c.schedPending = false
+	c.schedule()
+}
+
+// wake runs at an armed wakeup's cycle. It disarms c.wakeAt only if that
+// is the wakeup now firing; a superseded one leaves the newer arm alone.
+func (c *Channel) wake() {
+	if c.wakeAt == c.k.Now() {
+		c.wakeAt = 0
+	}
+	c.schedule()
+}
+
+// burstDone completes a request's data burst, then lets blocked requests
+// compete for the freed bank and bus.
+func (c *Channel) burstDone(arg any) {
+	if r := arg.(*Request); r.Done != nil {
+		r.Done(c.k.Now())
+	}
+	c.schedule()
 }
 
 // bankRow maps an address to (bank index, row id). Consecutive rows stripe
@@ -176,12 +205,7 @@ func (c *Channel) schedule() {
 		return // an earlier (or equal) wakeup is already armed
 	}
 	c.wakeAt = earliest
-	c.k.At(earliest, func() {
-		if c.wakeAt == earliest {
-			c.wakeAt = 0
-		}
-		c.schedule()
-	})
+	c.k.At(earliest, c.wakeFn)
 }
 
 func (c *Channel) issue(r *Request, now int64) {
@@ -215,11 +239,5 @@ func (c *Channel) issue(r *Request, now int64) {
 		c.Reads++
 		c.BytesRead += 64
 	}
-	done := r.Done
-	c.k.At(finish, func() {
-		if done != nil {
-			done(finish)
-		}
-		c.schedule()
-	})
+	c.k.AtArg(finish, c.burstFn, r)
 }

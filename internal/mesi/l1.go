@@ -65,11 +65,18 @@ type l1Cache struct {
 	storeTxns    int
 	storeUnstall func()
 	drainGate    coher.DrainGate
+
+	// The core's load waiting out the L1 access latency (a core has one
+	// load outstanding at most), and the kernel callback that resumes it,
+	// bound once so a load schedules no closure.
+	ldAddr uint32
+	ldDone func(uint32, memsys.Sample)
+	ldFn   func()
 }
 
 func newL1(s *System, tile int) *l1Cache {
 	cfg := s.Env.Cfg
-	return &l1Cache{
+	l := &l1Cache{
 		sys:   s,
 		tile:  tile,
 		c:     cache.New(cfg.L1Bytes, cfg.L1Assoc, memsys.LineBytes),
@@ -77,6 +84,8 @@ func newL1(s *System, tile int) *l1Cache {
 		wbBuf: coher.NewTable[wbEntry](),
 		sb:    coher.NewStoreBuffer(cfg.StoreBufferEntries),
 	}
+	l.ldFn = l.accessL1
+	return l
 }
 
 func (l *l1Cache) env() *memsys.Env { return l.sys.Env }
@@ -85,8 +94,20 @@ func (l *l1Cache) env() *memsys.Env { return l.sys.Env }
 
 // load begins a blocking load. done fires when the value is available.
 func (l *l1Cache) load(addr uint32, done func(uint32, memsys.Sample)) {
+	if l.ldDone != nil {
+		panic(fmt.Sprintf("mesi: core %d issued a load while one is pending", l.tile))
+	}
+	l.ldAddr, l.ldDone = addr, done
 	env := l.env()
-	env.K.After(env.Cfg.L1Latency, func() { l.loadAttempt(addr, env.K.Now(), done) })
+	env.K.After(env.Cfg.L1Latency, l.ldFn)
+}
+
+// accessL1 performs the pending load's L1 access, one L1 latency after
+// issue.
+func (l *l1Cache) accessL1() {
+	done := l.ldDone
+	l.ldDone = nil
+	l.loadAttempt(l.ldAddr, l.env().K.Now(), done)
 }
 
 func (l *l1Cache) loadAttempt(addr uint32, tIssue int64, done func(uint32, memsys.Sample)) {

@@ -16,7 +16,11 @@
 // tracked (so later events resolve) but excluded from the counts.
 package waste
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Category is the terminal classification of a word instance.
 type Category uint8
@@ -87,45 +91,71 @@ func (l Level) String() string {
 // flit-hop share attached via SetTraffic, class its message class tag.
 type ClassifyFunc func(level Level, class uint8, cat Category, share float64, measured bool)
 
-// inst is packed to 16 bytes: simulations create tens of millions of
-// instances, so record size and allocation behaviour dominate memory use.
+// An instance id names one record: its low 32 bits are a slot in the
+// profiler's record table, its high 32 bits the slot's generation when the
+// record was created. Classification is terminal, so the moment a record
+// classifies its slot is freed and its generation bumped: every id still
+// held for it (in a cache line, an MSHR, a message in flight) goes stale,
+// and every operation on a stale id is a no-op. That is exact, not an
+// approximation — an append-only profiler keeps the classified record but
+// it is already inert: classify and MemRelease ignore non-Open records,
+// MemAddRef and SetTraffic only touch fields nothing reads again. Memory
+// therefore follows the live (open) set, not the instances ever created.
+//
+// Generation aliasing is impossible within a run: a stale id could only
+// match again once its slot has been reused 2^32 times, i.e. after more
+// than 2^32 instances, and classify panics rather than let a generation
+// wrap. Slot 0 is never handed out, so id 0 stays "none".
+const slotBits = 32
+
+// inst is one open word instance's record (flagLive), or a free slot on
+// the free list.
 type inst struct {
+	seq   uint64 // creation order: Finish settles open records in it
 	addr  uint32
 	share float32
-	refs  int32 // LevelMem only: live on-chip copies
+	refs  int32  // LevelMem only: live on-chip copies
+	gen   uint32 // generation of the slot's current (or next) occupant
+	next  uint32 // next slot in the address's open-Mem chain, or on the free list
 	level Level
-	cat   Category
 	class uint8 // traffic class tag
-	flags uint8 // bit0: measured
+	flags uint8
 }
 
 const (
-	chunkShift = 16
-	chunkSize  = 1 << chunkShift
-	chunkMask  = chunkSize - 1
+	flagMeasured uint8 = 1 << iota
+	flagLive
 )
 
-// Profiler owns all word instances for one simulation run. Instances live
-// in fixed-size chunks so growth never copies existing records.
+// Profiler owns all word instances for one simulation run.
 type Profiler struct {
-	chunks     [][]inst
-	n          uint64              // instances allocated, including the reserved id 0
-	openByAddr map[uint32][]uint64 // word addr -> open LevelMem instance ids
-	counts     [numLevels][numCategories]uint64
+	recs     []inst // slot 0 reserved
+	free     uint32 // head of the free-slot list (0 = empty)
+	created  uint64
+	memChain map[uint32]uint32 // word addr -> first slot of its open LevelMem chain
+	counts   [numLevels][numCategories]uint64
+
 	measuring  bool
 	onClassify ClassifyFunc
 }
 
 // NewProfiler creates an empty profiler (warm-up mode: not measuring).
 func NewProfiler() *Profiler {
-	p := &Profiler{openByAddr: make(map[uint32][]uint64)}
-	p.chunks = append(p.chunks, make([]inst, chunkSize))
-	p.n = 1 // id 0 reserved as "none"
-	return p
+	return &Profiler{recs: make([]inst, 1), memChain: make(map[uint32]uint32)}
 }
 
-func (p *Profiler) get(id uint64) *inst {
-	return &p.chunks[id>>chunkShift][id&chunkMask]
+// live returns id's record, or nil when id is 0 or stale (its instance
+// has already classified).
+func (p *Profiler) live(id uint64) *inst {
+	slot := uint32(id)
+	if slot == 0 {
+		return nil
+	}
+	in := &p.recs[slot]
+	if in.gen != uint32(id>>slotBits) {
+		return nil
+	}
+	return in
 }
 
 // OnClassify installs the classification observer.
@@ -150,48 +180,42 @@ func (p *Profiler) TotalWords(level Level) uint64 {
 	return n
 }
 
-// Instances returns the number of live instance records (for memory-use
-// telemetry in long runs).
-func (p *Profiler) Instances() int { return int(p.n) - 1 }
+// Instances returns the number of instances created so far, warm-up
+// included (telemetry; classified records are recycled, so this is not
+// the number held in memory).
+func (p *Profiler) Instances() int { return int(p.created) }
 
-func (p *Profiler) new(level Level, addr uint32) uint64 {
-	id := p.n
-	p.n++
-	if id>>chunkShift == uint64(len(p.chunks)) {
-		p.chunks = append(p.chunks, make([]inst, chunkSize))
+func (p *Profiler) new(level Level, addr uint32) (uint64, *inst) {
+	slot := p.free
+	if slot != 0 {
+		p.free = p.recs[slot].next
+	} else {
+		slot = uint32(len(p.recs))
+		p.recs = append(p.recs, inst{})
 	}
-	in := p.get(id)
-	in.addr = addr
-	in.level = level
-	in.cat = Open
+	in := &p.recs[slot]
+	*in = inst{seq: p.created, addr: addr, gen: in.gen, level: level, flags: flagLive}
 	if p.measuring {
-		in.flags = 1
+		in.flags |= flagMeasured
 	}
-	return id
+	p.created++
+	return uint64(slot) | uint64(in.gen)<<slotBits, in
 }
 
 // SetTraffic attaches the deferred flit-hop share and message-class tag to
 // an instance; the share is reported to the OnClassify observer when the
 // instance settles.
 func (p *Profiler) SetTraffic(id uint64, class uint8, share float64) {
-	if id == 0 {
-		return
+	if in := p.live(id); in != nil {
+		in.class = class
+		in.share += float32(share)
 	}
-	in := p.get(id)
-	in.class = class
-	in.share += float32(share)
 }
 
-func (p *Profiler) classify(id uint64, cat Category) {
-	if id == 0 {
-		return
-	}
-	in := p.get(id)
-	if in.cat != Open {
-		return
-	}
-	in.cat = cat
-	measured := in.flags&1 != 0
+// classify settles the live record at slot as cat and frees the slot.
+func (p *Profiler) classify(slot uint32, cat Category) {
+	in := &p.recs[slot]
+	measured := in.flags&flagMeasured != 0
 	if measured {
 		p.counts[in.level][cat]++
 	}
@@ -199,7 +223,21 @@ func (p *Profiler) classify(id uint64, cat Category) {
 		p.onClassify(in.level, in.class, cat, float64(in.share), measured)
 	}
 	if in.level == LevelMem {
-		p.dropOpenMem(in.addr, id)
+		p.unchain(in.addr, slot)
+	}
+	if in.gen == ^uint32(0) {
+		panic(fmt.Sprintf("waste: generation of slot %d would wrap", slot))
+	}
+	in.gen++
+	in.flags = 0
+	in.next = p.free
+	p.free = slot
+}
+
+// settle classifies id as cat if it is still open.
+func (p *Profiler) settle(id uint64, cat Category) {
+	if p.live(id) != nil {
+		p.classify(uint32(id), cat)
 	}
 }
 
@@ -209,44 +247,44 @@ func (p *Profiler) classify(id uint64, cat Category) {
 // whether the word was already valid there; if so the arrival is
 // immediately Fetch waste. The returned id is attached to the cached word.
 func (p *Profiler) L1Arrival(addr uint32, present bool) uint64 {
-	id := p.new(LevelL1, addr)
+	id, _ := p.new(LevelL1, addr)
 	if present {
-		p.classify(id, Fetch)
+		p.classify(uint32(id), Fetch)
 	}
 	return id
 }
 
 // L1Load marks the word instance as read by the program (Used).
-func (p *Profiler) L1Load(id uint64) { p.classify(id, Used) }
+func (p *Profiler) L1Load(id uint64) { p.settle(id, Used) }
 
 // L1Store marks the word instance overwritten before use (Write).
-func (p *Profiler) L1Store(id uint64) { p.classify(id, Write) }
+func (p *Profiler) L1Store(id uint64) { p.settle(id, Write) }
 
 // L1Invalidate marks the instance invalidated before use.
-func (p *Profiler) L1Invalidate(id uint64) { p.classify(id, Invalidate) }
+func (p *Profiler) L1Invalidate(id uint64) { p.settle(id, Invalidate) }
 
 // L1Evict marks the instance evicted before use.
-func (p *Profiler) L1Evict(id uint64) { p.classify(id, Evict) }
+func (p *Profiler) L1Evict(id uint64) { p.settle(id, Evict) }
 
 // --- L2 FSM (Figure 4.2) ---
 
 // L2Arrival records a word arriving at an L2 slice from memory.
 func (p *Profiler) L2Arrival(addr uint32, present bool) uint64 {
-	id := p.new(LevelL2, addr)
+	id, _ := p.new(LevelL2, addr)
 	if present {
-		p.classify(id, Fetch)
+		p.classify(uint32(id), Fetch)
 	}
 	return id
 }
 
 // L2Served marks the word returned to an L1 as part of a response (Used).
-func (p *Profiler) L2Served(id uint64) { p.classify(id, Used) }
+func (p *Profiler) L2Served(id uint64) { p.settle(id, Used) }
 
 // L2Overwritten marks the word overwritten by an L1 writeback (Write).
-func (p *Profiler) L2Overwritten(id uint64) { p.classify(id, Write) }
+func (p *Profiler) L2Overwritten(id uint64) { p.settle(id, Write) }
 
 // L2Evict marks the word evicted from the L2 before use.
-func (p *Profiler) L2Evict(id uint64) { p.classify(id, Evict) }
+func (p *Profiler) L2Evict(id uint64) { p.settle(id, Evict) }
 
 // --- Memory FSM (Figure 4.3) ---
 
@@ -255,29 +293,29 @@ func (p *Profiler) L2Evict(id uint64) { p.classify(id, Evict) }
 // references. presentInL2 applies the Figure 4.3 "address present in L2"
 // check (immediate Fetch classification).
 func (p *Profiler) MemFetch(addr uint32, presentInL2 bool) uint64 {
-	id := p.new(LevelMem, addr)
+	id, in := p.new(LevelMem, addr)
 	if presentInL2 {
-		p.classify(id, Fetch)
+		p.classify(uint32(id), Fetch)
 		return id
 	}
-	p.openByAddr[addr] = append(p.openByAddr[addr], id)
+	in.next = p.memChain[addr]
+	p.memChain[addr] = uint32(id)
 	return id
 }
 
 // MemExcess records a word fetched from DRAM and dropped at the MC by the
 // L2 Flex filter: it never reaches the chip.
 func (p *Profiler) MemExcess(addr uint32) uint64 {
-	id := p.new(LevelMem, addr)
-	p.classify(id, Excess)
+	id, _ := p.new(LevelMem, addr)
+	p.classify(uint32(id), Excess)
 	return id
 }
 
 // MemAddRef notes a new on-chip copy of instance id.
 func (p *Profiler) MemAddRef(id uint64) {
-	if id == 0 {
-		return
+	if in := p.live(id); in != nil {
+		in.refs++
 	}
-	p.get(id).refs++
 }
 
 // MemRelease notes the destruction of one on-chip copy (eviction without
@@ -285,63 +323,68 @@ func (p *Profiler) MemAddRef(id uint64) {
 // instance disappears it classifies as Invalidate (if invalidated) or
 // Evict.
 func (p *Profiler) MemRelease(id uint64, invalidated bool) {
-	if id == 0 {
+	in := p.live(id)
+	if in == nil {
 		return
 	}
-	in := p.get(id)
 	if in.refs > 0 {
 		in.refs--
 	}
-	if in.refs == 0 && in.cat == Open {
+	if in.refs == 0 {
 		if invalidated {
-			p.classify(id, Invalidate)
+			p.classify(uint32(id), Invalidate)
 		} else {
-			p.classify(id, Evict)
+			p.classify(uint32(id), Evict)
 		}
 	}
 }
 
 // MemLoad marks instance id read by a core (Used).
-func (p *Profiler) MemLoad(id uint64) { p.classify(id, Used) }
+func (p *Profiler) MemLoad(id uint64) { p.settle(id, Used) }
 
 // MemStore classifies every open instance of addr as Write: once any core
 // writes the address, the coherence protocol will invalidate or overwrite
-// every other on-chip copy (§4.1).
+// every other on-chip copy (§4.1). The chain's order is not creation order,
+// which is harmless: memory-level shares never reach the traffic recorder.
 func (p *Profiler) MemStore(addr uint32) {
-	ids := p.openByAddr[addr]
-	if len(ids) == 0 {
-		return
-	}
-	// classify() mutates the map entry; iterate over a stable copy.
-	stable := append([]uint64(nil), ids...)
-	for _, id := range stable {
-		p.classify(id, Write)
+	for slot := p.memChain[addr]; slot != 0; slot = p.memChain[addr] {
+		p.classify(slot, Write) // unchains slot, advancing the head
 	}
 }
 
-func (p *Profiler) dropOpenMem(addr uint32, id uint64) {
-	ids := p.openByAddr[addr]
-	for i, x := range ids {
-		if x == id {
-			ids[i] = ids[len(ids)-1]
-			ids = ids[:len(ids)-1]
-			break
+// unchain removes slot from addr's open-Mem chain.
+func (p *Profiler) unchain(addr, slot uint32) {
+	head := p.memChain[addr]
+	if head == slot {
+		if next := p.recs[slot].next; next != 0 {
+			p.memChain[addr] = next
+		} else {
+			delete(p.memChain, addr)
 		}
+		return
 	}
-	if len(ids) == 0 {
-		delete(p.openByAddr, addr)
-	} else {
-		p.openByAddr[addr] = ids
+	for prev := head; prev != 0; prev = p.recs[prev].next {
+		if p.recs[prev].next == slot {
+			p.recs[prev].next = p.recs[slot].next
+			return
+		}
 	}
 }
 
 // Finish classifies every still-open instance as Unevicted (end of the
-// measurement window, Figure 4.1-4.3 terminal edge).
+// measurement window, Figure 4.1-4.3 terminal edge), in creation order:
+// the traffic recorder sums the float shares it is handed, so settling
+// them in any other order could change the totals' last bits.
 func (p *Profiler) Finish() {
-	for id := uint64(1); id < p.n; id++ {
-		if p.get(id).cat == Open {
-			p.classify(id, Unevicted)
+	var open []uint32
+	for slot := 1; slot < len(p.recs); slot++ {
+		if p.recs[slot].flags&flagLive != 0 {
+			open = append(open, uint32(slot))
 		}
+	}
+	slices.SortFunc(open, func(a, b uint32) int { return cmp.Compare(p.recs[a].seq, p.recs[b].seq) })
+	for _, slot := range open {
+		p.classify(slot, Unevicted)
 	}
 }
 

@@ -273,18 +273,40 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
-func TestChunkGrowth(t *testing.T) {
+// TestSlotTableBound pins the recycling contract: memory follows the
+// open set, not the instances ever created. A million arrive -> classify
+// cycles (and a million memory fetches released in pairs) must leave the
+// record table at the handful of slots open at once, while Instances
+// still counts every creation.
+func TestSlotTableBound(t *testing.T) {
 	p := newMeasuring()
-	// Cross several chunk boundaries and verify ids stay addressable.
-	n := chunkSize*2 + 37
-	ids := make([]uint64, 0, n)
+	const n = 1_000_000
 	for i := 0; i < n; i++ {
-		ids = append(ids, p.L1Arrival(uint32(i)*4, false))
+		id := p.L1Arrival(uint32(i)*4, false)
+		if i%2 == 0 {
+			p.L1Load(id)
+		} else {
+			p.L1Evict(id)
+		}
+		a := p.MemFetch(uint32(i%64)*4, false)
+		b := p.MemFetch(uint32(i%64)*4, false)
+		p.MemAddRef(a)
+		p.MemRelease(a, false)
+		p.MemStore(uint32(i%64) * 4) // classifies b
+		p.L1Load(id)                 // stale: must not reclassify
+		p.MemRelease(b, true)        // stale
 	}
-	for _, id := range ids {
-		p.L1Load(id)
+	if got := len(p.recs) - 1; got > 2 {
+		t.Fatalf("record table grew to %d slots for at most 2 open instances", got)
 	}
-	if got := p.Count(LevelL1, Used); got != uint64(n) {
-		t.Fatalf("classified %d of %d across chunks", got, n)
+	if len(p.memChain) != 0 {
+		t.Fatalf("%d addresses left in the open-memory chains", len(p.memChain))
+	}
+	if got := p.Instances(); got != 3*n {
+		t.Fatalf("Instances() = %d, want %d created", got, 3*n)
+	}
+	if p.Count(LevelL1, Used) != n/2 || p.Count(LevelL1, Evict) != n/2 ||
+		p.Count(LevelMem, Evict) != n || p.Count(LevelMem, Write) != n {
+		t.Fatalf("counts %v", p.Snapshot())
 	}
 }
