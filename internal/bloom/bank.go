@@ -67,78 +67,85 @@ func (b *L2Bank) SizeBytes() int {
 // L1Bank is one L1 cache's conservative copy of every L2 slice's filters.
 // Filters are copied on demand (valid bits track which copies exist), local
 // writebacks are inserted eagerly, and everything is cleared at barriers.
+// All copies share one flat bit array (filter f of slice s occupies words
+// [(s*FiltersPerSlice+f)*words, +words)) and one valid bitset, so a bank
+// is two allocations and ClearAll is two clears.
 type L1Bank struct {
 	cfg     BankConfig
 	sel     *H3
 	h       *H3
-	filters [][]*Filter // [slice][filterIdx]
-	valid   [][]bool
+	words   int    // uint64 words per filter
+	entries uint32 // bits per filter
+	bits    []uint64
+	valid   []uint64 // bit s*FiltersPerSlice+f
 }
 
 // NewL1Bank creates the L1-side filter copies for all slices.
 func NewL1Bank(cfg BankConfig) *L1Bank {
-	b := &L1Bank{
-		cfg: cfg,
-		sel: NewH3(cfg.Seed ^ 0x5e1ec7),
-		h:   NewH3(cfg.Seed),
+	entries := max(cfg.Entries, 64)
+	words := (entries + 63) / 64
+	n := cfg.Slices * cfg.FiltersPerSlice
+	return &L1Bank{
+		cfg:     cfg,
+		sel:     NewH3(cfg.Seed ^ 0x5e1ec7),
+		h:       NewH3(cfg.Seed),
+		words:   words,
+		entries: uint32(words * 64),
+		bits:    make([]uint64, n*words),
+		valid:   make([]uint64, (n+63)/64),
 	}
-	b.filters = make([][]*Filter, cfg.Slices)
-	b.valid = make([][]bool, cfg.Slices)
-	for s := range b.filters {
-		b.filters[s] = make([]*Filter, cfg.FiltersPerSlice)
-		b.valid[s] = make([]bool, cfg.FiltersPerSlice)
-		for i := range b.filters[s] {
-			b.filters[s][i] = NewFilter(cfg.Entries, b.h)
-		}
-	}
-	return b
 }
 
 // FilterIndex returns the per-slice filter index for a line address.
 func (b *L1Bank) FilterIndex(line uint32) int { return int(b.sel.Hash(line)) % b.cfg.FiltersPerSlice }
 
+// copyOf returns the flat index of slice's filter idx.
+func (b *L1Bank) copyOf(slice, idx int) int { return slice*b.cfg.FiltersPerSlice + idx }
+
+// bit returns the word index and mask of key's entry in copy c.
+func (b *L1Bank) bit(c int, key uint32) (int, uint64) {
+	i := b.h.Hash(key) % b.entries
+	return c*b.words + int(i>>6), 1 << (i & 63)
+}
+
 // Query checks a line address against the copy for the line's home slice.
 // valid=false means the copy has not been fetched yet (the caller must
 // request a Bloom copy from the L2 before deciding).
 func (b *L1Bank) Query(slice int, line uint32) (valid, mayContain bool) {
-	i := b.FilterIndex(line)
-	if !b.valid[slice][i] {
+	c := b.copyOf(slice, b.FilterIndex(line))
+	if b.valid[c>>6]&(1<<(c&63)) == 0 {
 		return false, true
 	}
-	return true, b.filters[slice][i].MayContain(line)
+	w, m := b.bit(c, line)
+	return true, b.bits[w]&m != 0
 }
 
 // LoadCopy unions a snapshot received from slice's L2 into the local copy
 // and marks it valid.
 func (b *L1Bank) LoadCopy(slice, idx int, snap *Filter) {
-	b.filters[slice][idx].Union(snap)
-	b.valid[slice][idx] = true
+	c := b.copyOf(slice, idx)
+	dst := b.bits[c*b.words : (c+1)*b.words]
+	if len(snap.bits) != len(dst) {
+		panic("bloom: union of mismatched filters")
+	}
+	for i, w := range snap.bits {
+		dst[i] |= w
+	}
+	b.valid[c>>6] |= 1 << (c & 63)
 }
 
 // InsertLocal records a local writeback of line (whose home is slice) so
 // the copy stays conservative without refetching.
 func (b *L1Bank) InsertLocal(slice int, line uint32) {
-	i := b.FilterIndex(line)
-	b.filters[slice][i].Insert(line)
+	w, m := b.bit(b.copyOf(slice, b.FilterIndex(line)), line)
+	b.bits[w] |= m
 }
 
 // ClearAll resets every copy and valid bit (done at barriers).
 func (b *L1Bank) ClearAll() {
-	for s := range b.filters {
-		for i := range b.filters[s] {
-			b.filters[s][i].Clear()
-			b.valid[s][i] = false
-		}
-	}
+	clear(b.bits)
+	clear(b.valid)
 }
 
 // SizeBytes is the storage footprint of all copies (1-bit entries).
-func (b *L1Bank) SizeBytes() int {
-	n := 0
-	for _, fs := range b.filters {
-		for _, f := range fs {
-			n += f.SizeBytes()
-		}
-	}
-	return n
-}
+func (b *L1Bank) SizeBytes() int { return len(b.bits) * 8 }

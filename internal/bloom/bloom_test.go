@@ -277,3 +277,86 @@ func BenchmarkCountingQuery(b *testing.B) {
 		c.MayContain(uint32(i))
 	}
 }
+
+// refL1Bank is the L1 bank as one Filter per (slice, filter) copy with a
+// valid flag each: the reference the flat bank must agree with.
+type refL1Bank struct {
+	sel, h  *H3
+	per     int
+	filters [][]*Filter
+	valid   [][]bool
+}
+
+func newRefL1Bank(cfg BankConfig) *refL1Bank {
+	r := &refL1Bank{sel: NewH3(cfg.Seed ^ 0x5e1ec7), h: NewH3(cfg.Seed), per: cfg.FiltersPerSlice}
+	for s := 0; s < cfg.Slices; s++ {
+		fs := make([]*Filter, cfg.FiltersPerSlice)
+		for i := range fs {
+			fs[i] = NewFilter(cfg.Entries, r.h)
+		}
+		r.filters = append(r.filters, fs)
+		r.valid = append(r.valid, make([]bool, cfg.FiltersPerSlice))
+	}
+	return r
+}
+
+func (r *refL1Bank) query(slice int, line uint32) (bool, bool) {
+	i := int(r.sel.Hash(line)) % r.per
+	if !r.valid[slice][i] {
+		return false, true
+	}
+	return true, r.filters[slice][i].MayContain(line)
+}
+
+// TestL1BankMatchesPerFilterReference drives the flat L1 bank and the
+// per-filter reference with the same random LoadCopy / InsertLocal /
+// ClearAll sequence and requires every Query to agree.
+func TestL1BankMatchesPerFilterReference(t *testing.T) {
+	for _, cfg := range []BankConfig{
+		DefaultBankConfig(16),
+		{FiltersPerSlice: 3, Entries: 100, Slices: 5, Seed: 9}, // odd geometry: rounded entries, ragged valid words
+	} {
+		rng := rand.New(rand.NewSource(int64(cfg.Slices)))
+		flat, ref := NewL1Bank(cfg), newRefL1Bank(cfg)
+		l2s := make([]*L2Bank, cfg.Slices)
+		for s := range l2s {
+			l2s[s] = NewL2Bank(cfg)
+		}
+		line := func() uint32 { return uint32(rng.Intn(1 << 12)) }
+		for step := 0; step < 20000; step++ {
+			s := rng.Intn(cfg.Slices)
+			switch op := rng.Intn(20); {
+			case op < 6: // an L2 slice dirties a line
+				l2s[s].Insert(line())
+			case op < 10: // demand copy of one filter
+				idx := rng.Intn(cfg.FiltersPerSlice)
+				snap := l2s[s].Snapshot(idx)
+				flat.LoadCopy(s, idx, snap)
+				ref.filters[s][idx].Union(snap)
+				ref.valid[s][idx] = true
+			case op < 13:
+				ln := line()
+				flat.InsertLocal(s, ln)
+				ref.filters[s][int(ref.sel.Hash(ln))%ref.per].Insert(ln)
+			case op == 13:
+				flat.ClearAll()
+				for s := range ref.filters {
+					for i := range ref.filters[s] {
+						ref.filters[s][i].Clear()
+						ref.valid[s][i] = false
+					}
+				}
+			default:
+				ln := line()
+				gv, gm := flat.Query(s, ln)
+				wv, wm := ref.query(s, ln)
+				if gv != wv || gm != wm {
+					t.Fatalf("%+v step %d: Query(%d, %#x) = %v,%v; reference %v,%v", cfg, step, s, ln, gv, gm, wv, wm)
+				}
+			}
+		}
+		if want := cfg.Slices * cfg.FiltersPerSlice * ref.filters[0][0].SizeBytes(); flat.SizeBytes() != want {
+			t.Fatalf("SizeBytes = %d, want %d", flat.SizeBytes(), want)
+		}
+	}
+}

@@ -108,3 +108,17 @@ func (s *Substrate) NackBackoff(from, tile int, retry func()) {
 	s.Env.Traffic.Ctl(memsys.ClassOVH, memsys.BOvhNack, 1, s.Env.Mesh.Hops(from, tile))
 	s.Env.K.After(s.Env.Cfg.RetryBackoff+int64(tile), retry)
 }
+
+// SliceLines returns the length of an L2 slice's per-line state arrays:
+// lines are interleaved across slices (line % Tiles is the home tile), so
+// a slice homes at most ceil(footprint lines / Tiles) of them and a line's
+// slot is SliceSlot(env, line). The arrays are sized by the footprint's
+// line count, like env.Mem itself; the untouched tail costs only
+// address space.
+func SliceLines(env *memsys.Env) int {
+	lines := (len(env.Mem) + memsys.WordsPerLine - 1) / memsys.WordsPerLine
+	return (lines + env.Cfg.Tiles - 1) / env.Cfg.Tiles
+}
+
+// SliceSlot returns line's index in its home slice's per-line arrays.
+func SliceSlot(env *memsys.Env, line uint32) uint32 { return line / uint32(env.Cfg.Tiles) }

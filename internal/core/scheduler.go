@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/memsys"
+	"repro/internal/mesi"
 	"repro/internal/workloads"
 )
 
@@ -119,6 +120,14 @@ func planMatrix(opt MatrixOptions) (*matrixPlan, error) {
 	if opt.Threads > cfg.Tiles {
 		return nil, fmt.Errorf("core: threads %d > tiles %d (%dx%d mesh); cores map one-per-tile, so shrink Threads/-threads or grow the mesh",
 			opt.Threads, cfg.Tiles, cfg.MeshWidth, cfg.MeshHeight)
+	}
+	if opt.Threads > mesi.MaxCores {
+		for _, spec := range opt.Protocols {
+			if v, err := ParseProtocol(spec); err == nil && v.Family == "MESI" {
+				return nil, fmt.Errorf("core: threads %d with protocol %q: the MESI directory keeps one sharer bit per core, so MESI runs at most %d threads",
+					opt.Threads, spec, mesi.MaxCores)
+			}
+		}
 	}
 	if opt.Topology != "" {
 		cfg.Topology = opt.Topology

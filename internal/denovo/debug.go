@@ -16,7 +16,7 @@ func (s *System) DebugState() string {
 			t, l1.wc.Len(), l1.pendingRegs, l1.wbBuf.Len(), l1.drainGate.Armed())
 		l1.mshrs.Range(func(key uint32, m *mshr) {
 			fmt.Fprintf(&b, "  mshr %#x wanted=%d waiters=%d\n", key, len(m.wanted), len(m.waiters))
-			for a := range m.wanted {
+			for _, a := range m.wanted {
 				fmt.Fprintf(&b, "    want %#x\n", a)
 			}
 		})
@@ -25,9 +25,16 @@ func (s *System) DebugState() string {
 		sl.fetch.Range(func(line uint32, f *l2Fetch) {
 			fmt.Fprintf(&b, "L2[%d]: fetch %#x retries=%d\n", t, line, len(f.retry))
 		})
-		for line := range sl.busyEvict {
-			fmt.Fprintf(&b, "L2[%d]: evicting %#x\n", t, line)
+		for i, f := range sl.flags {
+			if f&lineEvicting != 0 {
+				fmt.Fprintf(&b, "L2[%d]: evicting %#x\n", t, i*len(s.l2s)+t)
+			}
 		}
+		sl.foreign.Range(func(line uint32, f *uint8) {
+			if *f&lineEvicting != 0 {
+				fmt.Fprintf(&b, "L2[%d]: evicting foreign %#x\n", t, line)
+			}
+		})
 	}
 	return b.String()
 }

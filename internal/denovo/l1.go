@@ -2,6 +2,7 @@ package denovo
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bloom"
 	"repro/internal/cache"
@@ -16,12 +17,35 @@ type loadWaiter struct {
 }
 
 // mshr tracks one outstanding load request group, keyed by the critical
-// line. Under Flex the wanted set may span lines.
+// line. Under Flex the wanted set may span lines. wanted is a set of word
+// addresses kept in a slice (at most a packet's worth plus re-requests).
+// Records are free-listed per L1; id tells a recycled record from the
+// request group a pending NACK retry was scheduled for.
 type mshr struct {
+	id      uint64
 	key     uint32
-	wanted  map[uint32]bool
+	wanted  []uint32
 	waiters []loadWaiter
 	tIssue  int64
+}
+
+// wants reports whether addr is in the wanted set.
+func (m *mshr) wants(addr uint32) bool { return slices.Contains(m.wanted, addr) }
+
+// want adds addr to the wanted set.
+func (m *mshr) want(addr uint32) {
+	if !m.wants(addr) {
+		m.wanted = append(m.wanted, addr)
+	}
+}
+
+// unwant removes addr from the wanted set.
+func (m *mshr) unwant(addr uint32) {
+	if i := slices.Index(m.wanted, addr); i >= 0 {
+		last := len(m.wanted) - 1
+		m.wanted[i] = m.wanted[last]
+		m.wanted = m.wanted[:last]
+	}
 }
 
 // wbEntry is a victim-buffer entry: registered words in flight to the L2,
@@ -42,15 +66,19 @@ type l1Cache struct {
 	tile int
 	c    *cache.Cache
 
-	mshrs coher.Table[mshr]
-	wc    coher.WriteCombiner
-	wbBuf coher.Table[wbEntry]
+	mshrs  coher.Table[mshr]
+	wc     coher.WriteCombiner
+	wbBuf  coher.Table[wbEntry]
+	mshrFL coher.Pool[mshr]
+	wbFL   coher.Pool[wbEntry]
+	nextID uint64
 
 	pendingRegs int
 	drainGate   coher.DrainGate
+	wcTimeoutFn func() // l.wcTimeout, bound once
 
 	blooms    *bloom.L1Bank
-	bloomWait map[int][]func() // key: slice*4096+filterIdx
+	bloomWait [][]bypassReq // by slice*FiltersPerSlice + filter index
 
 	// The core's load waiting out the L1 access latency (a core has one
 	// load outstanding at most), and the kernel callback that resumes it,
@@ -70,12 +98,21 @@ func newL1(s *System, tile int) *l1Cache {
 		wc:    coher.NewWriteCombiner(),
 		wbBuf: coher.NewTable[wbEntry](),
 	}
-	l.ldFn = l.accessL1
+	l.ldFn, l.wcTimeoutFn = l.accessL1, l.wcTimeout
 	if s.opt.BypassReq {
 		l.blooms = bloom.NewL1Bank(cfg.Bloom)
-		l.bloomWait = make(map[int][]func())
+		l.bloomWait = make([][]bypassReq, cfg.Bloom.Slices*cfg.Bloom.FiltersPerSlice)
 	}
 	return l
+}
+
+// newMSHR installs a recycled MSHR for the critical line key.
+func (l *l1Cache) newMSHR(key uint32, tIssue int64) *mshr {
+	m := l.mshrFL.Get()
+	l.nextID++
+	*m = mshr{id: l.nextID, key: key, tIssue: tIssue, wanted: m.wanted[:0], waiters: m.waiters[:0]}
+	l.mshrs.Put(key, m)
+	return m
 }
 
 func (l *l1Cache) env() *memsys.Env { return l.sys.Env }
@@ -116,29 +153,30 @@ func (l *l1Cache) loadAttempt(addr uint32, tIssue int64, done func(uint32, memsy
 	}
 	if m := l.mshrs.Get(line); m != nil {
 		m.waiters = append(m.waiters, loadWaiter{addr, done})
-		if !m.wanted[addr] {
+		if !m.wants(addr) {
 			// The in-flight request did not cover this word; ask again.
-			m.wanted[addr] = true
-			l.sendLoadReq(m, []uint32{addr}, nil)
+			m.want(addr)
+			l.sendLoadReq(m.key, m.tIssue, []uint32{addr}, nil)
 		}
 		return
 	}
-	m := &mshr{key: line, wanted: map[uint32]bool{}, tIssue: tIssue}
+	m := l.newMSHR(line, tIssue)
 	m.waiters = append(m.waiters, loadWaiter{addr, done})
-	l.mshrs.Put(line, m)
 
 	region := env.Regions.ByAddr(addr)
 	flex := l.sys.opt.FlexL1 && region != nil && region.InComm(addr)
-	var wants []uint32
+	// Collect on the stack; the request keeps an exactly sized copy.
+	var wantBuf [2 * lineWords]uint32
+	want := wantBuf[:0]
 	if flex {
 		for _, wa := range region.CommWords(addr) {
-			if len(wants) >= env.Cfg.MaxDataWords() {
+			if len(want) >= env.Cfg.MaxDataWords() {
 				break
 			}
 			if ln := l.c.Lookup(memsys.LineOf(wa)); ln != nil && ln.WState[memsys.WordIndex(wa)] != wInvalid {
 				continue // already cached
 			}
-			wants = append(wants, wa)
+			want = append(want, wa)
 		}
 	} else {
 		ln := l.c.Lookup(line)
@@ -146,23 +184,24 @@ func (l *l1Cache) loadAttempt(addr uint32, tIssue int64, done func(uint32, memsy
 			if ln != nil && ln.WState[i] != wInvalid {
 				continue
 			}
-			wants = append(wants, memsys.AddrOf(line, i))
+			want = append(want, memsys.AddrOf(line, i))
 		}
 	}
 	// The critical word is always requested.
-	if !coher.ContainsU32(wants, memsys.WordAddr(addr)) {
-		wants = append(wants, memsys.WordAddr(addr))
+	if !coher.ContainsU32(want, memsys.WordAddr(addr)) {
+		want = append(want, memsys.WordAddr(addr))
 	}
+	wants := slices.Clone(want)
 	for _, wa := range wants {
-		m.wanted[wa] = true
+		m.want(wa)
 	}
 
 	bypass := l.sys.opt.BypassResp && region != nil && region.Bypass
 	if bypass && l.sys.opt.BypassReq {
-		l.tryRequestBypass(m, addr, wants, flex)
+		l.tryRequestBypass(bypassReq{key: m.key, tIssue: m.tIssue, crit: addr, wants: wants, flex: flex})
 		return
 	}
-	l.sendLoadReq(m, wants, &reqMeta{crit: addr, bypass: bypass, flex: flex})
+	l.sendLoadReq(m.key, m.tIssue, wants, &reqMeta{crit: addr, bypass: bypass, flex: flex})
 }
 
 // reqMeta carries per-request attributes for sendLoadReq.
@@ -172,9 +211,11 @@ type reqMeta struct {
 	flex   bool
 }
 
-func (l *l1Cache) sendLoadReq(m *mshr, wants []uint32, meta *reqMeta) {
-	home := l.env().Cfg.HomeTile(m.key)
-	req := &dvnLoadReq{key: m.key, from: l.tile, wants: wants, tIssue: m.tIssue}
+// sendLoadReq asks key's home slice for wants on behalf of the MSHR keyed
+// key and issued at tIssue.
+func (l *l1Cache) sendLoadReq(key uint32, tIssue int64, wants []uint32, meta *reqMeta) {
+	home := l.env().Cfg.HomeTile(key)
+	req := &dvnLoadReq{key: key, from: l.tile, wants: wants, tIssue: tIssue}
 	if meta != nil {
 		req.crit, req.bypass, req.flex = meta.crit, meta.bypass, meta.flex
 	} else {
@@ -183,37 +224,48 @@ func (l *l1Cache) sendLoadReq(m *mshr, wants []uint32, meta *reqMeta) {
 	l.sys.SendCtl(memsys.ClassLD, memsys.BReqCtl, l.tile, home, req)
 }
 
+// bypassReq is a bypass-annotated load request deciding its route: the
+// MSHR's key and issue time (captured by value, so a request waiting on a
+// Bloom copy is unaffected by the MSHR's recycling) and what to ask for.
+type bypassReq struct {
+	key    uint32
+	tIssue int64
+	crit   uint32
+	wants  []uint32
+	flex   bool
+}
+
 // tryRequestBypass consults the L1 Bloom filter copies (§4.4): when the
 // critical line definitely has no dirty words on-chip, the request goes
 // straight to the memory controller, skipping the L2.
-func (l *l1Cache) tryRequestBypass(m *mshr, crit uint32, wants []uint32, flex bool) {
+func (l *l1Cache) tryRequestBypass(r bypassReq) {
 	env := l.env()
-	home := env.Cfg.HomeTile(m.key)
-	valid, may := l.blooms.Query(home, m.key)
+	home := env.Cfg.HomeTile(r.key)
+	valid, may := l.blooms.Query(home, r.key)
 	if !valid {
-		l.fetchBloomCopy(home, m.key, func() { l.tryRequestBypass(m, crit, wants, flex) })
+		l.fetchBloomCopy(home, r)
 		return
 	}
 	if may {
 		// Possibly dirty on-chip: take the normal path through the L2.
-		l.sendLoadReq(m, wants, &reqMeta{crit: crit, bypass: true, flex: flex})
+		l.sendLoadReq(r.key, r.tIssue, r.wants, &reqMeta{crit: r.crit, bypass: true, flex: r.flex})
 		return
 	}
-	mc := env.Cfg.MCTile(m.key)
+	mc := env.Cfg.MCTile(r.key)
 	l.sys.SendCtl(memsys.ClassLD, memsys.BReqCtl, l.tile, mc, &dvnMemRead{
-		key: m.key, critLine: m.key, wants: wants,
+		key: r.key, critLine: r.key, wants: r.wants,
 		home: home, requestor: l.tile,
-		direct: true, fillL2: false, flex: flex && l.sys.opt.FlexL2,
-		class: memsys.ClassLD, tIssue: m.tIssue,
+		direct: true, fillL2: false, flex: r.flex && l.sys.opt.FlexL2,
+		class: memsys.ClassLD, tIssue: r.tIssue,
 	})
 }
 
-// fetchBloomCopy requests one filter snapshot from the home slice on
-// demand, coalescing concurrent waiters (§4.4).
-func (l *l1Cache) fetchBloomCopy(slice int, line uint32, cont func()) {
-	idx := l.blooms.FilterIndex(line)
-	key := slice*4096 + idx
-	l.bloomWait[key] = append(l.bloomWait[key], cont)
+// fetchBloomCopy requests the filter snapshot covering r's line from the
+// home slice on demand, coalescing concurrent waiters (§4.4).
+func (l *l1Cache) fetchBloomCopy(slice int, r bypassReq) {
+	idx := l.blooms.FilterIndex(r.key)
+	key := slice*l.env().Cfg.Bloom.FiltersPerSlice + idx
+	l.bloomWait[key] = append(l.bloomWait[key], r)
 	if len(l.bloomWait[key]) > 1 {
 		return // request already in flight
 	}
@@ -222,11 +274,15 @@ func (l *l1Cache) fetchBloomCopy(slice int, line uint32, cont func()) {
 
 func (l *l1Cache) handleBloomResp(m *dvnBloomResp) {
 	l.blooms.LoadCopy(m.slice, m.idx, m.snap)
-	key := m.slice*4096 + m.idx
+	key := m.slice*l.env().Cfg.Bloom.FiltersPerSlice + m.idx
 	waiters := l.bloomWait[key]
-	delete(l.bloomWait, key)
-	for _, cont := range waiters {
-		cont()
+	l.bloomWait[key] = nil
+	for _, r := range waiters {
+		l.tryRequestBypass(r)
+	}
+	if l.bloomWait[key] == nil { // keep the capacity for the next wait
+		clear(waiters)
+		l.bloomWait[key] = waiters[:0]
 	}
 }
 
@@ -264,16 +320,19 @@ func (l *l1Cache) wcAdd(line uint32, w int) {
 			l.flushOldestWC()
 		}
 		e = l.wc.Add(line, env.K.Now())
-		entry := e
-		env.K.After(env.Cfg.WriteCombineTimeout, func() {
-			if l.wc.Get(line) == entry {
-				l.flushWC(entry)
-			}
-		})
+		env.K.After(env.Cfg.WriteCombineTimeout, l.wcTimeoutFn)
 	}
 	e.Mask |= 1 << w
 	if e.Mask == 0xffff {
 		l.flushWC(e) // the entire line has been written
+	}
+}
+
+// wcTimeout fires WriteCombineTimeout cycles after an entry's Add and
+// flushes the entry if it is still pending.
+func (l *l1Cache) wcTimeout() {
+	if e := l.wc.PopTimeout(); e != nil {
+		l.flushWC(e)
 	}
 }
 
@@ -284,11 +343,12 @@ func (l *l1Cache) flushOldestWC() {
 }
 
 func (l *l1Cache) flushWC(e *coher.WCEntry) {
-	l.wc.Remove(e.Line)
+	line, mask := e.Line, e.Mask
+	l.wc.Remove(line) // recycles e
 	l.pendingRegs++
-	home := l.env().Cfg.HomeTile(e.Line)
+	home := l.env().Cfg.HomeTile(line)
 	l.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, l.tile, home,
-		&dvnRegister{line: e.Line, from: l.tile, mask: e.Mask})
+		&dvnRegister{line: line, from: l.tile, mask: mask})
 }
 
 func (l *l1Cache) handleRegAck(m *dvnRegAck) {
@@ -301,7 +361,8 @@ func (l *l1Cache) handleRegAck(m *dvnRegAck) {
 func (l *l1Cache) handleData(m *dvnData) {
 	env := l.env()
 	ms := l.mshrs.Get(m.key)
-	insts := make([]uint64, 0, len(m.words))
+	var instBuf [2 * lineWords]uint64
+	insts := instBuf[:0]
 	for i, addr := range m.words {
 		line, w := memsys.LineOf(addr), memsys.WordIndex(addr)
 		ln := l.c.Lookup(line)
@@ -323,7 +384,7 @@ func (l *l1Cache) handleData(m *dvnData) {
 			env.Prof.MemAddRef(m.minsts[i])
 		}
 		if ms != nil {
-			delete(ms.wanted, addr)
+			ms.unwant(addr)
 		}
 	}
 	env.Traffic.Data(memsys.ClassLD, m.hops, insts)
@@ -364,6 +425,7 @@ func (l *l1Cache) completeWaiters(ms *mshr, sample memsys.Sample) {
 			panic(fmt.Sprintf("denovo: tile %d mshr %#x closed with %d waiters", l.tile, ms.key, len(ms.waiters)))
 		}
 		l.mshrs.Delete(ms.key)
+		l.mshrFL.Put(ms)
 	}
 }
 
@@ -376,7 +438,7 @@ func (l *l1Cache) handleDeny(m *dvnDeny) {
 	}
 	var reissue []uint32
 	for _, addr := range m.words {
-		if !ms.wanted[addr] {
+		if !ms.wants(addr) {
 			continue
 		}
 		needed := false
@@ -389,11 +451,11 @@ func (l *l1Cache) handleDeny(m *dvnDeny) {
 		if needed {
 			reissue = append(reissue, addr)
 		} else {
-			delete(ms.wanted, addr)
+			ms.unwant(addr)
 		}
 	}
 	if len(reissue) > 0 {
-		l.sendLoadReq(ms, reissue, &reqMeta{crit: reissue[0]})
+		l.sendLoadReq(ms.key, ms.tIssue, reissue, &reqMeta{crit: reissue[0]})
 	}
 	l.completeWaiters(ms, memsys.Sample{Point: memsys.PointOnChip})
 }
@@ -403,16 +465,14 @@ func (l *l1Cache) handleNack(m *dvnNack) {
 	if ms == nil {
 		return
 	}
+	id := ms.id
 	l.sys.NackBackoff(m.from, l.tile, func() {
-		if l.mshrs.Get(m.key) != ms || len(ms.wanted) == 0 {
+		if l.mshrs.Get(m.key) != ms || ms.id != id || len(ms.wanted) == 0 {
 			return
 		}
-		wants := make([]uint32, 0, len(ms.wanted))
-		for a := range ms.wanted {
-			wants = append(wants, a)
-		}
+		wants := slices.Clone(ms.wanted)
 		coher.SortU32(wants)
-		l.sendLoadReq(ms, wants, &reqMeta{crit: wants[0]})
+		l.sendLoadReq(ms.key, ms.tIssue, wants, &reqMeta{crit: wants[0]})
 	})
 }
 
@@ -495,6 +555,7 @@ func (l *l1Cache) handleWBAck(m *dvnWBAck) {
 		wb.pending--
 		if wb.pending <= 0 {
 			l.wbBuf.Delete(m.line)
+			l.wbFL.Put(wb)
 		}
 	}
 	l.drainGate.TryFire(l.drained())
@@ -536,7 +597,9 @@ func (l *l1Cache) evictFor(line uint32) {
 		old.mask |= regMask
 		old.pending++
 	} else {
-		l.wbBuf.Put(vline, &wbEntry{line: vline, mask: regMask, vals: vals, pending: 1})
+		wb := l.wbFL.Get()
+		*wb = wbEntry{line: vline, mask: regMask, vals: vals, pending: 1}
+		l.wbBuf.Put(vline, wb)
 	}
 	home := env.Cfg.HomeTile(vline)
 	dirty := coher.Popcount16(regMask)
@@ -575,7 +638,7 @@ func (l *l1Cache) selfInvalidate(written []uint8) {
 		return
 	}
 	env := l.env()
-	set := map[uint8]bool{}
+	var set [256]bool // region ids are uint8
 	for _, id := range written {
 		set[id] = true
 	}

@@ -2,6 +2,7 @@ package denovo
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bloom"
 	"repro/internal/cache"
@@ -26,38 +27,72 @@ type memStamp struct {
 	tAtMC, tDram int64
 }
 
+// Per-line flags: one byte per line a slice homes (indexed by
+// coher.SliceSlot); zero is an idle line. The records a busy line needs —
+// its gate queue, its pending eviction — live in tables keyed by line,
+// bounded by the operations in flight.
+//
+// A slice can also hold a line it does not home: a Flex request whose
+// critical word was re-chosen from its wanted set (NACK and deny
+// retries) may lie on another line, and the slice then fetches and fills
+// that line itself. Such a line's slot here belongs to a homed line, so
+// its flags live in the foreign table while nonzero.
+const (
+	lineGated    uint8 = 1 << iota // an operation holds the line (lockLine)
+	lineEvicting                   // the line is being evicted: requests are NACKed
+	lineDirty                      // a word became registered or dirty since install (Bloom entry set)
+)
+
+// gateOp is a line operation queued behind the line's gate: fn(arg).
+type gateOp struct {
+	fn  func(any)
+	arg any
+}
+
+// opQueue is a FIFO of gated operations, free-listed per slice.
+type opQueue struct {
+	ops []gateOp
+}
+
+// evictState tracks an eviction waiting on owner recalls, and the
+// allocation (fn(arg)) it makes room for.
+type evictState struct {
+	pending int
+	fn      func(any)
+	arg     any
+}
+
 type l2Slice struct {
 	sys  *System
 	tile int
 	c    *cache.Cache
 
-	fetch     coher.Table[l2Fetch]
-	busyEvict map[uint32]bool
-	evictCont map[uint32]*evictState
-	gate      map[uint32][]func()
-	dirtyCnt  map[uint32]int // words per line that are registered or dirty
-	blooms    *bloom.L2Bank
-	pred      *bypassPredictor
-}
+	fetch   coher.Table[l2Fetch]
+	queues  coher.Table[opQueue]    // gated lines with operations waiting
+	evicts  coher.Table[evictState] // evictions waiting on owner recalls
+	flags   []uint8
+	foreign coher.Table[uint8] // flags of non-homed lines, while nonzero
+	fetchFL coher.Pool[l2Fetch]
+	queueFL coher.Pool[opQueue]
+	evictFL coher.Pool[evictState]
+	blooms  *bloom.L2Bank
+	pred    *bypassPredictor
 
-// evictState tracks an eviction waiting on owner recalls.
-type evictState struct {
-	pending int
-	cont    func()
+	// Handlers bound once at construction, so the L2 access latency, the
+	// line gate and ensureWay schedule no closure; each takes a message.
+	arriveFn, applyFn, installFn func(any)
+	evictableFn                  func(*cache.Line) bool
 }
 
 func newL2(s *System, tile int) *l2Slice {
 	cfg := s.Env.Cfg
 	sl := &l2Slice{
-		sys:       s,
-		tile:      tile,
-		c:         cache.New(cfg.L2SliceBytes, cfg.L2Assoc, memsys.LineBytes),
-		fetch:     coher.NewTable[l2Fetch](),
-		busyEvict: make(map[uint32]bool),
-		evictCont: make(map[uint32]*evictState),
-		gate:      make(map[uint32][]func()),
-		dirtyCnt:  make(map[uint32]int),
+		sys:   s,
+		tile:  tile,
+		c:     cache.New(cfg.L2SliceBytes, cfg.L2Assoc, memsys.LineBytes),
+		flags: make([]uint8, coher.SliceLines(s.Env)),
 	}
+	sl.arriveFn, sl.applyFn, sl.installFn, sl.evictableFn = sl.arrive, sl.apply, sl.install, sl.evictable
 	if s.opt.BypassReq {
 		sl.blooms = bloom.NewL2Bank(cfg.Bloom)
 	}
@@ -69,51 +104,150 @@ func newL2(s *System, tile int) *l2Slice {
 
 func (sl *l2Slice) env() *memsys.Env { return sl.sys.Env }
 
+// flagsOf returns line's flags.
+func (sl *l2Slice) flagsOf(line uint32) uint8 {
+	env := sl.env()
+	if env.Cfg.HomeTile(line) == sl.tile {
+		return sl.flags[coher.SliceSlot(env, line)]
+	}
+	if f := sl.foreign.Get(line); f != nil {
+		return *f
+	}
+	return 0
+}
+
+// setFlags sets bits in line's flags.
+func (sl *l2Slice) setFlags(line uint32, bits uint8) {
+	env := sl.env()
+	if env.Cfg.HomeTile(line) == sl.tile {
+		sl.flags[coher.SliceSlot(env, line)] |= bits
+		return
+	}
+	f := sl.foreign.Get(line)
+	if f == nil {
+		f = new(uint8)
+		sl.foreign.Put(line, f)
+	}
+	*f |= bits
+}
+
+// clearFlags clears bits in line's flags.
+func (sl *l2Slice) clearFlags(line uint32, bits uint8) {
+	env := sl.env()
+	if env.Cfg.HomeTile(line) == sl.tile {
+		sl.flags[coher.SliceSlot(env, line)] &^= bits
+		return
+	}
+	if f := sl.foreign.Get(line); f != nil {
+		if *f &^= bits; *f == 0 {
+			sl.foreign.Delete(line)
+		}
+	}
+}
+
+// arrive runs one L2 access latency after a request reaches the slice:
+// loads are served at once, state mutations take the line's gate.
+func (sl *l2Slice) arrive(arg any) {
+	if m, ok := arg.(*dvnLoadReq); ok {
+		sl.serve(m, nil)
+		return
+	}
+	sl.lockLine(gatedLine(arg), sl.applyFn, arg)
+}
+
+// gatedLine returns the line a gated mutation (registration, writeback or
+// fill) applies to.
+func gatedLine(arg any) uint32 {
+	switch m := arg.(type) {
+	case *dvnRegister:
+		return m.line
+	case *dvnWB:
+		return m.line
+	case *dvnL2Fill:
+		return m.line
+	}
+	panic(fmt.Sprintf("denovo: %T is not a gated mutation", arg))
+}
+
+// apply performs a gated mutation, first making room for the line when
+// it is not resident.
+func (sl *l2Slice) apply(arg any) {
+	if line := gatedLine(arg); sl.c.Lookup(line) == nil {
+		sl.ensureWay(line, sl.installFn, arg)
+		return
+	}
+	sl.installed(arg, false)
+}
+
+// install is apply's continuation once a way is free for a line that was
+// not resident.
+func (sl *l2Slice) install(arg any) { sl.installed(arg, true) }
+
+// installed applies a gated mutation to its resident line; fresh marks a
+// line just allocated for it.
+func (sl *l2Slice) installed(arg any, fresh bool) {
+	switch m := arg.(type) {
+	case *dvnRegister:
+		sl.registerInstalled(m, fresh)
+	case *dvnWB:
+		sl.writebackInstalled(m)
+	case *dvnL2Fill:
+		sl.fillInstalled(m)
+	}
+}
+
+// afterL2 runs arrive(m) one L2 access latency from now.
+func (sl *l2Slice) afterL2(m any) {
+	env := sl.env()
+	env.K.AtArg(env.K.Now()+env.Cfg.L2Latency, sl.arriveFn, m)
+}
+
 // lockLine serializes state mutations per line in arrival order. Timed
 // retries would let an old writeback overtake a newer registration from
 // the same L1; the FIFO gate preserves per-source message order instead.
-// op must arrange for unlockLine to run when its mutation completes.
-func (sl *l2Slice) lockLine(line uint32, op func()) {
-	if q, gated := sl.gate[line]; gated {
-		sl.gate[line] = append(q, op)
+// fn must arrange for unlockLine to run when its mutation completes.
+func (sl *l2Slice) lockLine(line uint32, fn func(any), arg any) {
+	if sl.flagsOf(line)&lineGated == 0 {
+		sl.setFlags(line, lineGated)
+		fn(arg)
 		return
 	}
-	sl.gate[line] = nil
-	op()
+	q := sl.queues.Get(line)
+	if q == nil {
+		q = sl.queueFL.Get()
+		sl.queues.Put(line, q)
+	}
+	q.ops = append(q.ops, gateOp{fn, arg})
 }
 
 func (sl *l2Slice) unlockLine(line uint32) {
-	q, gated := sl.gate[line]
-	if !gated {
+	if sl.flagsOf(line)&lineGated == 0 {
 		panic("denovo: unlock of ungated line")
 	}
-	if len(q) == 0 {
-		delete(sl.gate, line)
+	q := sl.queues.Get(line)
+	if q == nil || len(q.ops) == 0 {
+		sl.clearFlags(line, lineGated)
+		if q != nil {
+			sl.queues.Delete(line)
+			sl.queueFL.Put(q)
+		}
 		return
 	}
-	next := q[0]
-	sl.gate[line] = q[1:]
-	next()
+	next := q.ops[0]
+	n := copy(q.ops, q.ops[1:])
+	q.ops[n] = gateOp{}
+	q.ops = q.ops[:n]
+	next.fn(next.arg)
 }
 
-// markDirty/markClean maintain the per-line dirty-word count and the
-// counting Bloom filters of §4.4.
+// markDirty maintains the counting Bloom filters of §4.4: a line enters
+// its filter when its first word becomes registered or dirty, and leaves
+// it when evicted.
 func (sl *l2Slice) markDirty(line uint32) {
-	sl.dirtyCnt[line]++
-	if sl.dirtyCnt[line] == 1 && sl.blooms != nil {
-		sl.blooms.Insert(line)
-	}
-}
-
-func (sl *l2Slice) markClean(line uint32) {
-	if sl.dirtyCnt[line] == 0 {
-		return
-	}
-	sl.dirtyCnt[line]--
-	if sl.dirtyCnt[line] == 0 {
-		delete(sl.dirtyCnt, line)
+	if sl.flagsOf(line)&lineDirty == 0 {
+		sl.setFlags(line, lineDirty)
 		if sl.blooms != nil {
-			sl.blooms.Remove(line)
+			sl.blooms.Insert(line)
 		}
 	}
 }
@@ -135,21 +269,50 @@ func (sl *l2Slice) dirtyMask(line uint32) uint16 {
 	return m
 }
 
+// ownerWord pairs a word address with the L1 it must be forwarded to
+// (or invalidated at).
+type ownerWord struct {
+	owner uint8
+	addr  uint32
+}
+
+// sendByOwner sends one message per distinct owner in ascending owner
+// order, each carrying that owner's words in their original order.
+func sendByOwner(ows []ownerWord, send func(owner int, words []uint32)) {
+	for len(ows) > 0 {
+		lo := ows[0].owner
+		for _, ow := range ows[1:] {
+			lo = min(lo, ow.owner)
+		}
+		var words []uint32
+		rest := ows[:0]
+		for _, ow := range ows {
+			if ow.owner == lo {
+				words = append(words, ow.addr)
+			} else {
+				rest = append(rest, ow)
+			}
+		}
+		send(int(lo), words)
+		ows = rest
+	}
+}
+
 // --- load requests ---
 
-func (sl *l2Slice) handleLoadReq(m *dvnLoadReq) {
-	env := sl.env()
-	env.K.After(env.Cfg.L2Latency, func() { sl.serve(m, nil) })
-}
+func (sl *l2Slice) handleLoadReq(m *dvnLoadReq) { sl.afterL2(m) }
 
 // serve satisfies a request from the L2 array, remote owners, and memory.
 // stamp is non-nil when the request was re-dispatched after a fill, so
 // loads keep their memory-time attribution.
 func (sl *l2Slice) serve(m *dvnLoadReq, stamp *memStamp) {
 	env := sl.env()
-	var direct, nacked, denied []uint32
-	fwd := map[uint8][]uint32{}
-	mem := map[uint32][]uint32{}
+	// Collected on the stack; each message keeps an exactly sized copy.
+	var directBuf, deniedBuf, memBuf [2 * lineWords]uint32
+	direct, denied, mem := directBuf[:0], deniedBuf[:0], memBuf[:0]
+	nacked := 0
+	var fwdBuf [2 * lineWords]ownerWord
+	fwd := fwdBuf[:0]
 
 	critLine := memsys.LineOf(m.crit)
 	bypass := m.bypass
@@ -158,8 +321,8 @@ func (sl *l2Slice) serve(m *dvnLoadReq, stamp *memStamp) {
 	}
 	for _, addr := range m.wants {
 		line, w := memsys.LineOf(addr), memsys.WordIndex(addr)
-		if sl.busyEvict[line] {
-			nacked = append(nacked, addr)
+		if sl.flagsOf(line)&lineEvicting != 0 {
+			nacked++
 			continue
 		}
 		ln := sl.c.Lookup(line)
@@ -170,7 +333,7 @@ func (sl *l2Slice) serve(m *dvnLoadReq, stamp *memStamp) {
 				continue
 			case l2Registered:
 				if int(ln.Owner[w]) != m.from {
-					fwd[ln.Owner[w]] = append(fwd[ln.Owner[w]], addr)
+					fwd = append(fwd, ownerWord{ln.Owner[w], addr})
 					continue
 				}
 				// Registered to the requestor itself: nothing to send
@@ -186,38 +349,30 @@ func (sl *l2Slice) serve(m *dvnLoadReq, stamp *memStamp) {
 			denied = append(denied, addr)
 			continue
 		}
-		mem[line] = append(mem[line], addr)
+		mem = append(mem, addr)
 	}
 
 	if len(direct) > 0 {
-		sl.sendFromArray(m, direct, stamp)
+		sl.sendFromArray(m, slices.Clone(direct), stamp)
 	}
-	for owner := 0; owner < env.Cfg.Tiles; owner++ { // deterministic order
-		words, ok := fwd[uint8(owner)]
-		if !ok {
-			continue
-		}
+	sendByOwner(fwd, func(owner int, words []uint32) {
 		sl.sys.SendCtl(memsys.ClassLD, memsys.BReqCtl, sl.tile, owner, &dvnFwdRead{
 			key: m.key, requestor: m.from, words: words, tIssue: m.tIssue,
 		})
-	}
-	if len(nacked) > 0 {
+	})
+	if nacked > 0 {
 		// NACK: the requestor retries the whole remainder (§5.2.4).
 		sl.sys.SendCtl(memsys.ClassOVH, memsys.BOvhNack, sl.tile, m.from,
 			&dvnNack{key: m.key, from: sl.tile})
 	}
 	if len(denied) > 0 {
 		sl.sys.SendCtl(memsys.ClassLD, memsys.BRespCtl, sl.tile, m.from,
-			&dvnDeny{key: m.key, words: denied})
+			&dvnDeny{key: m.key, words: slices.Clone(denied)})
 	}
 	if len(mem) == 0 {
 		return
 	}
-
-	var memWords []uint32
-	for _, words := range mem {
-		memWords = append(memWords, words...)
-	}
+	memWords := slices.Clone(mem)
 	coher.SortU32(memWords)
 
 	if bypass {
@@ -242,8 +397,7 @@ func (sl *l2Slice) serve(m *dvnLoadReq, stamp *memStamp) {
 		return
 	}
 
-	f := &l2Fetch{line: critLine}
-	sl.fetch.Put(critLine, f)
+	f := sl.newFetch(critLine)
 	if sl.sys.opt.MemToL1 {
 		// §3.1 Memory Controller to L1 Transfer: data goes to the L1 and
 		// the L2 in parallel; the request carries the dirty-word vector.
@@ -302,27 +456,14 @@ func (sl *l2Slice) sendFromArray(m *dvnLoadReq, words []uint32, stamp *memStamp)
 
 // --- registration (§2) ---
 
-func (sl *l2Slice) handleRegister(m *dvnRegister) {
-	env := sl.env()
-	env.K.After(env.Cfg.L2Latency, func() {
-		sl.lockLine(m.line, func() { sl.register(m) })
-	})
-}
-
-func (sl *l2Slice) register(m *dvnRegister) {
-	ln := sl.c.Lookup(m.line)
-	if ln == nil {
-		sl.ensureWay(m.line, func() { sl.registerInstalled(m, true) })
-		return
-	}
-	sl.registerInstalled(m, false)
-}
+func (sl *l2Slice) handleRegister(m *dvnRegister) { sl.afterL2(m) }
 
 // registerInstalled applies a registration once the line has a way.
 func (sl *l2Slice) registerInstalled(m *dvnRegister, fresh bool) {
 	env := sl.env()
 	ln := sl.c.Allocate(m.line)
-	invals := map[uint8][]uint32{}
+	var invalBuf [lineWords]ownerWord
+	invals := invalBuf[:0]
 	for w := 0; w < lineWords; w++ {
 		if m.mask&(1<<w) == 0 {
 			continue
@@ -332,7 +473,7 @@ func (sl *l2Slice) registerInstalled(m *dvnRegister, fresh bool) {
 		case l2Registered:
 			old := ln.Owner[w]
 			if int(old) != m.from {
-				invals[old] = append(invals[old], addr)
+				invals = append(invals, ownerWord{old, addr})
 			}
 		case l2Valid:
 			// The L2's clean copy dies before use: Write waste (Fig 4.2).
@@ -349,13 +490,9 @@ func (sl *l2Slice) registerInstalled(m *dvnRegister, fresh bool) {
 		ln.Owner[w] = uint8(m.from)
 		ln.Inst[w] = 0
 	}
-	for owner := 0; owner < env.Cfg.Tiles; owner++ { // deterministic order
-		words, ok := invals[uint8(owner)]
-		if !ok {
-			continue
-		}
+	sendByOwner(invals, func(owner int, words []uint32) {
 		sl.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, sl.tile, owner, &dvnInvalWord{words: words})
-	}
+	})
 	// Baseline DeNovo keeps a fetch-on-write L2: a write miss fetches the
 	// rest of the line from memory (§3.1).
 	if fresh && !sl.sys.opt.ValidateL2 {
@@ -385,7 +522,7 @@ func (sl *l2Slice) fetchForWrite(line uint32) {
 	if !need {
 		return
 	}
-	sl.fetch.Put(line, &l2Fetch{line: line})
+	sl.newFetch(line)
 	mc := sl.env().Cfg.MCTile(line)
 	sl.sys.SendCtl(memsys.ClassST, memsys.BReqCtl, sl.tile, mc, &dvnMemRead{
 		key: line, critLine: line,
@@ -397,20 +534,7 @@ func (sl *l2Slice) fetchForWrite(line uint32) {
 
 // --- writebacks ---
 
-func (sl *l2Slice) handleWB(m *dvnWB) {
-	env := sl.env()
-	env.K.After(env.Cfg.L2Latency, func() {
-		sl.lockLine(m.line, func() { sl.writeback(m) })
-	})
-}
-
-func (sl *l2Slice) writeback(m *dvnWB) {
-	if sl.c.Lookup(m.line) == nil {
-		sl.ensureWay(m.line, func() { sl.writebackInstalled(m) })
-		return
-	}
-	sl.writebackInstalled(m)
-}
+func (sl *l2Slice) handleWB(m *dvnWB) { sl.afterL2(m) }
 
 func (sl *l2Slice) writebackInstalled(m *dvnWB) {
 	env := sl.env()
@@ -451,23 +575,13 @@ func (sl *l2Slice) writebackInstalled(m *dvnWB) {
 
 // --- fills ---
 
-func (sl *l2Slice) handleL2Fill(m *dvnL2Fill) {
-	env := sl.env()
-	env.K.After(env.Cfg.L2Latency, func() {
-		sl.lockLine(m.line, func() {
-			if sl.c.Lookup(m.line) == nil {
-				sl.ensureWay(m.line, func() { sl.fillInstalled(m) })
-				return
-			}
-			sl.fillInstalled(m)
-		})
-	})
-}
+func (sl *l2Slice) handleL2Fill(m *dvnL2Fill) { sl.afterL2(m) }
 
 func (sl *l2Slice) fillInstalled(m *dvnL2Fill) {
 	env := sl.env()
 	ln := sl.c.Allocate(m.line)
-	insts := make([]uint64, 0, lineWords)
+	var instBuf [lineWords]uint64
+	insts := instBuf[:0]
 	for w := 0; w < lineWords; w++ {
 		if m.mask&(1<<w) == 0 {
 			continue
@@ -495,71 +609,98 @@ func (sl *l2Slice) fillInstalled(m *dvnL2Fill) {
 	if f == nil {
 		return
 	}
-	stamp := &memStamp{tAtMC: m.tAtMC, tDram: m.tDram}
+	stamp := memStamp{tAtMC: m.tAtMC, tDram: m.tDram}
 	for _, req := range f.retry {
-		sl.serve(req, stamp)
+		sl.serve(req, &stamp)
 	}
+	clear(f.retry)
+	sl.fetchFL.Put(f)
+}
+
+// newFetch installs a recycled fetch entry for line.
+func (sl *l2Slice) newFetch(line uint32) *l2Fetch {
+	f := sl.fetchFL.Get()
+	*f = l2Fetch{line: line, retry: f.retry[:0]}
+	sl.fetch.Put(line, f)
+	return f
 }
 
 // --- eviction ---
 
-// ensureWay guarantees a free way in line's set, then calls cont.
-func (sl *l2Slice) ensureWay(line uint32, cont func()) {
-	victim := sl.c.VictimWhere(line, func(l *cache.Line) bool {
-		_, gated := sl.gate[l.Tag]
-		return !gated && !sl.busyEvict[l.Tag] && !sl.fetch.Has(l.Tag)
-	})
+// evictable reports whether an L2 way may be chosen as a victim: its line
+// is not gated, not already being evicted, and not being fetched.
+func (sl *l2Slice) evictable(l *cache.Line) bool {
+	return sl.flagsOf(l.Tag)&(lineGated|lineEvicting) == 0 && !sl.fetch.Has(l.Tag)
+}
+
+// ensureWay guarantees a free way in line's set, then calls fn(arg).
+func (sl *l2Slice) ensureWay(line uint32, fn func(any), arg any) {
+	victim := sl.c.VictimWhere(line, sl.evictableFn)
 	if victim == nil {
-		sl.sys.RetryAfter(func() { sl.ensureWay(line, cont) })
+		sl.sys.RetryAfter(func() { sl.ensureWay(line, fn, arg) })
 		return
 	}
 	if !victim.Valid {
-		cont()
+		fn(arg)
 		return
 	}
 	// The continuation runs synchronously when the eviction finishes and
 	// claims the freed way immediately (callers Allocate first thing), so
 	// concurrent allocations cannot steal it and livelock the set.
-	sl.evictLine(victim, cont)
+	sl.evictLine(victim, fn, arg)
+}
+
+// ownerMask is the words of a line registered to one owner.
+type ownerMask struct {
+	owner uint8
+	mask  uint16
 }
 
 // evictLine recalls registered words from their owners, writes dirty words
-// to memory, and frees the way.
-func (sl *l2Slice) evictLine(ln *cache.Line, cont func()) {
-	env := sl.env()
+// to memory, frees the way and calls fn(arg).
+func (sl *l2Slice) evictLine(ln *cache.Line, fn func(any), arg any) {
 	line := ln.Tag
-	// The victim is ungated (VictimWhere guarantees it); take its gate so
+	// The victim is ungated (evictable guarantees it); take its gate so
 	// arriving registrations/writebacks queue behind the eviction.
-	sl.lockLine(line, func() {})
-	sl.busyEvict[line] = true
-	owners := map[uint8]uint16{}
+	sl.setFlags(line, lineGated|lineEvicting)
+	var owners [lineWords]ownerMask
+	n := 0
 	for w := 0; w < lineWords; w++ {
-		if ln.WState[w]&l2StateMask == l2Registered {
-			owners[ln.Owner[w]] |= 1 << w
-		}
-	}
-	pending := len(owners)
-	if pending == 0 {
-		sl.finishEvict(ln, cont)
-		return
-	}
-	sl.evictCont[line] = &evictState{pending: pending, cont: cont}
-	for owner := 0; owner < env.Cfg.Tiles; owner++ { // deterministic order
-		mask, ok := owners[uint8(owner)]
-		if !ok {
+		if ln.WState[w]&l2StateMask != l2Registered {
 			continue
 		}
-		sl.sys.SendCtl(memsys.ClassWB, memsys.BWBCtl, sl.tile, owner,
-			&dvnRecall{line: line, mask: mask})
+		o := ln.Owner[w]
+		i := 0
+		for i < n && owners[i].owner != o {
+			i++
+		}
+		if i == n {
+			owners[n].owner = o
+			n++
+		}
+		owners[i].mask |= 1 << w
+	}
+	if n == 0 {
+		sl.finishEvict(ln, fn, arg)
+		return
+	}
+	es := sl.evictFL.Get()
+	*es = evictState{pending: n, fn: fn, arg: arg}
+	sl.evicts.Put(line, es)
+	recalls := owners[:n]
+	slices.SortFunc(recalls, func(a, b ownerMask) int { return int(a.owner) - int(b.owner) })
+	for _, r := range recalls { // deterministic order
+		sl.sys.SendCtl(memsys.ClassWB, memsys.BWBCtl, sl.tile, int(r.owner),
+			&dvnRecall{line: line, mask: r.mask})
 	}
 }
 
 func (sl *l2Slice) handleRecallResp(m *dvnRecallResp) {
 	ln := sl.c.Lookup(m.line)
-	st := sl.evictCont[m.line]
-	if st == nil || ln == nil {
-		panic(fmt.Sprintf("denovo: slice %d recall resp line %#x from %d mask %04x: st=%v ln=%v busy=%v gated=%v",
-			sl.tile, m.line, m.from, m.mask, st != nil, ln != nil, sl.busyEvict[m.line], func() bool { _, g := sl.gate[m.line]; return g }()))
+	es := sl.evicts.Get(m.line)
+	if es == nil || ln == nil {
+		panic(fmt.Sprintf("denovo: slice %d recall resp line %#x from %d mask %04x: st=%v ln=%v flags=%03b",
+			sl.tile, m.line, m.from, m.mask, es != nil, ln != nil, sl.flagsOf(m.line)))
 	}
 	for w := 0; w < lineWords; w++ {
 		if m.mask&(1<<w) == 0 {
@@ -569,16 +710,20 @@ func (sl *l2Slice) handleRecallResp(m *dvnRecallResp) {
 		ln.WState[w] = l2Valid | l2Dirty
 		ln.Owner[w] = 0
 	}
-	st.pending--
-	if st.pending == 0 {
-		delete(sl.evictCont, m.line)
-		sl.finishEvict(ln, st.cont)
+	es.pending--
+	if es.pending == 0 {
+		sl.evicts.Delete(m.line)
+		fn, arg := es.fn, es.arg
+		*es = evictState{}
+		sl.evictFL.Put(es)
+		sl.finishEvict(ln, fn, arg)
 	}
 }
 
 // finishEvict writes dirty words back to memory (dirty-words-only with
-// ValidateL2; the full line otherwise) and removes the line.
-func (sl *l2Slice) finishEvict(ln *cache.Line, cont func()) {
+// ValidateL2; the full line otherwise), removes the line and calls
+// fn(arg).
+func (sl *l2Slice) finishEvict(ln *cache.Line, fn func(any), arg any) {
 	env := sl.env()
 	line := ln.Tag
 	var dirty uint16
@@ -606,8 +751,8 @@ func (sl *l2Slice) finishEvict(ln *cache.Line, cont func()) {
 		env.Traffic.WBData(true, hops, nDirty, clean)
 		sl.sys.SendData(sl.tile, mc, nDirty+clean, msg)
 	}
-	if sl.dirtyCnt[line] > 0 {
-		delete(sl.dirtyCnt, line)
+	if sl.flagsOf(line)&lineDirty != 0 {
+		sl.clearFlags(line, lineDirty)
 		if sl.blooms != nil {
 			sl.blooms.Remove(line)
 		}
@@ -616,11 +761,11 @@ func (sl *l2Slice) finishEvict(ln *cache.Line, cont func()) {
 		sl.pred.train(line, ln.State > 0)
 	}
 	sl.c.Remove(ln)
-	delete(sl.busyEvict, line)
+	sl.clearFlags(line, lineEvicting)
 	// The waiting allocation claims the freed way synchronously BEFORE the
 	// gate releases queued operations, which could otherwise steal it and
 	// force a silent eviction of a line that is mid-recall.
-	cont()
+	fn(arg)
 	sl.unlockLine(line)
 }
 

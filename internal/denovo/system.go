@@ -25,6 +25,7 @@ package denovo
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/coher"
@@ -97,6 +98,9 @@ type System struct {
 	opt Options
 	l1s []*l1Cache
 	l2s []*l2Slice
+
+	mcOps     coher.Pool[mcOp]
+	mcIssueFn func(any) // s.mcIssue, bound once
 }
 
 // New builds the protocol engine and registers its tiles on the mesh.
@@ -105,6 +109,7 @@ func New(env *memsys.Env, opt Options) *System {
 		opt.Name = "DeNovo"
 	}
 	s := &System{Substrate: coher.NewSubstrate(env), opt: opt}
+	s.mcIssueFn = s.mcIssue
 	n := env.Cfg.Tiles
 	s.l1s = make([]*l1Cache, n)
 	s.l2s = make([]*l2Slice, n)
@@ -176,74 +181,135 @@ func (s *System) rowOf(line uint32) uint32 {
 	return (line << memsys.LineShift) / s.Env.Cfg.DRAM.RowBytes
 }
 
+// mcOp is one memory-controller access in flight: the MC latency, then
+// the DRAM bursts. A read fetches one or more lines of a row; a
+// writeback commits dirty words. Records are free-listed per system, and
+// each binds its burst-completion callback once, when first made, so an
+// access schedules no closure.
+type mcOp struct {
+	s    *System
+	tile int
+	read *dvnMemRead      // a fetch, or
+	wb   *msgMemWBPartial // a writeback
+
+	lines     []uint32 // lines to fetch, critical line first
+	tAtMC     int64
+	finish    int64 // latest burst completion so far
+	remaining int   // bursts still outstanding
+	reqs      []dram.Request
+	done      func(int64)
+}
+
+// startMC queues an MC access one MC latency from now.
+func (s *System) startMC(tile int, read *dvnMemRead, wb *msgMemWBPartial) *mcOp {
+	op := s.mcOps.Get()
+	if op.done == nil {
+		op.s, op.done = s, op.burstDone
+	}
+	op.tile, op.read, op.wb, op.tAtMC = tile, read, wb, s.Env.K.Now()
+	op.lines = op.lines[:0]
+	s.Env.K.AtArg(op.tAtMC+s.Env.Cfg.MCLatency, s.mcIssueFn, op)
+	return op
+}
+
 // handleMemRead services a fetch at an MC tile. It may read several lines
 // from DRAM (Flex prefetch within one row), filters dirty on-chip words,
 // applies the Flex communication region (dropping unsent words as Excess),
 // and responds to the L1 and/or the home L2.
 func (s *System) handleMemRead(tile int, m *dvnMemRead) {
-	env := s.Env
-	ch := env.Chans[env.Cfg.Channel(m.critLine)]
-	tAtMC := env.K.Now()
-
+	op := s.startMC(tile, m, nil)
 	// Decide which lines to fetch: always the critical line; with Flex at
 	// the MC, also other lines holding wanted words if they share the
 	// critical line's DRAM row (row activation is expensive, §3.1).
-	lines := []uint32{m.critLine}
+	op.lines = append(op.lines, m.critLine)
 	if m.flex {
 		critRow := s.rowOf(m.critLine)
-		seen := map[uint32]bool{m.critLine: true}
 		for _, w := range m.wants {
 			ln := memsys.LineOf(w)
-			if !seen[ln] && s.rowOf(ln) == critRow {
-				seen[ln] = true
-				lines = append(lines, ln)
+			if !slices.Contains(op.lines, ln) && s.rowOf(ln) == critRow {
+				op.lines = append(op.lines, ln)
 			}
 		}
 	}
-	// Deny wanted words on lines we will not fetch.
-	var denied []uint32
-	fetched := map[uint32]bool{}
-	for _, ln := range lines {
-		fetched[ln] = true
+}
+
+// handleMemWB commits dirty words to DRAM.
+func (s *System) handleMemWB(tile int, m *msgMemWBPartial) { s.startMC(tile, nil, m) }
+
+// mcIssue submits an MC access's DRAM bursts once the MC latency has
+// passed. Every line of a fetch goes to the critical line's channel.
+func (s *System) mcIssue(arg any) {
+	op := arg.(*mcOp)
+	env := s.Env
+	if m := op.wb; m != nil {
+		for w := 0; w < lineWords; w++ {
+			if m.mask&(1<<w) != 0 {
+				env.MemWrite(memsys.AddrOf(m.line, w), m.vals[w])
+			}
+		}
+		op.remaining = 1
+		op.reqs = append(op.reqs[:0], dram.Request{Addr: m.line << memsys.LineShift, Write: true, Done: op.done})
+		env.Chans[env.Cfg.Channel(m.line)].Submit(&op.reqs[0])
+		return
 	}
+	ch := env.Chans[env.Cfg.Channel(op.read.critLine)]
+	op.remaining, op.finish = len(op.lines), 0
+	op.reqs = op.reqs[:0]
+	for _, ln := range op.lines {
+		op.reqs = append(op.reqs, dram.Request{Addr: ln << memsys.LineShift, Done: op.done})
+	}
+	for i := range op.reqs { // submitted only once reqs has stopped growing
+		ch.Submit(&op.reqs[i])
+	}
+}
+
+// burstDone counts an access's completed bursts; the last one of a fetch
+// assembles the responses. The record then goes back on the free list.
+func (op *mcOp) burstDone(f int64) {
+	if f > op.finish {
+		op.finish = f
+	}
+	op.remaining--
+	if op.remaining > 0 {
+		return
+	}
+	if op.read != nil {
+		op.s.memReadDone(op)
+	}
+	op.read, op.wb = nil, nil
+	op.s.mcOps.Put(op)
+}
+
+// memReadDone assembles and sends the responses once DRAM delivers.
+func (s *System) memReadDone(op *mcOp) {
+	env := s.Env
+	m, tile, lines := op.read, op.tile, op.lines
+	tAtMC, tDram := op.tAtMC, op.finish
+
+	// The wanted words of each fetched line, and the wanted words on
+	// lines not fetched (denied).
+	var wantBuf [8]uint16
+	want := wantBuf[:0]
+	for range lines {
+		want = append(want, 0)
+	}
+	var denied []uint32
 	for _, w := range m.wants {
-		if !fetched[memsys.LineOf(w)] {
+		if i := slices.Index(lines, memsys.LineOf(w)); i >= 0 {
+			want[i] |= 1 << memsys.WordIndex(w)
+		} else {
 			denied = append(denied, w)
 		}
 	}
 
-	wantSet := map[uint32]bool{}
-	for _, w := range m.wants {
-		wantSet[w] = true
-	}
+	// Collected on the stack; the response keeps exactly sized copies.
+	var wordBuf, valBuf [2 * lineWords]uint32
+	var minstBuf [2 * lineWords]uint64
+	words, vals, minsts := wordBuf[:0], valBuf[:0], minstBuf[:0]
+	var fillBuf [8]*dvnL2Fill
+	fillOrder := fillBuf[:0]
 
-	env.K.After(env.Cfg.MCLatency, func() {
-		remaining := len(lines)
-		var finish int64
-		for _, ln := range lines {
-			ln := ln
-			ch.Submit(&dram.Request{Addr: ln << memsys.LineShift, Done: func(f int64) {
-				if f > finish {
-					finish = f
-				}
-				remaining--
-				if remaining == 0 {
-					s.memReadDone(tile, m, lines, wantSet, denied, tAtMC, finish)
-				}
-			}})
-		}
-	})
-}
-
-// memReadDone assembles and sends the responses once DRAM delivers.
-func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, wantSet map[uint32]bool, denied []uint32, tAtMC, tDram int64) {
-	env := s.Env
-	var words []uint32
-	var vals []uint32
-	var minsts []uint64
-	var fillOrder []*dvnL2Fill
-
-	for _, ln := range lines {
+	for i, ln := range lines {
 		var fill *dvnL2Fill
 		if m.fillL2 {
 			fill = &dvnL2Fill{line: ln, class: m.class, tAtMC: tAtMC, tDram: tDram}
@@ -254,8 +320,9 @@ func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, wantSet ma
 			if ln == m.critLine && m.noReturn&(1<<w) != 0 {
 				continue // dirty on-chip: memory's copy is stale
 			}
-			sendL1 := wantSet[a] && m.direct
-			sendL2 := fill != nil && (!m.flex || wantSet[a])
+			wanted := want[i]&(1<<w) != 0
+			sendL1 := wanted && m.direct
+			sendL2 := fill != nil && (!m.flex || wanted)
 			if !sendL1 && !sendL2 {
 				if m.flex {
 					env.Prof.MemExcess(a) // fetched from DRAM, dropped here
@@ -279,7 +346,7 @@ func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, wantSet ma
 	if m.direct {
 		hops := s.CtlHops(m.class, memsys.BRespCtl, tile, m.requestor)
 		s.SendData(tile, m.requestor, len(words), &dvnData{
-			key: m.key, words: words, vals: vals, minsts: minsts,
+			key: m.key, words: slices.Clone(words), vals: slices.Clone(vals), minsts: slices.Clone(minsts),
 			fromMem: true, tAtMC: tAtMC, tDram: tDram, hops: hops,
 		})
 		if len(denied) > 0 {
@@ -294,20 +361,6 @@ func (s *System) memReadDone(tile int, m *dvnMemRead, lines []uint32, wantSet ma
 		fill.hops = hops
 		s.SendData(tile, m.home, coher.Popcount16(fill.mask), fill)
 	}
-}
-
-// handleMemWB commits dirty words to DRAM.
-func (s *System) handleMemWB(tile int, m *msgMemWBPartial) {
-	env := s.Env
-	ch := env.Chans[env.Cfg.Channel(m.line)]
-	env.K.After(env.Cfg.MCLatency, func() {
-		for w := 0; w < lineWords; w++ {
-			if m.mask&(1<<w) != 0 {
-				env.MemWrite(memsys.AddrOf(m.line, w), m.vals[w])
-			}
-		}
-		ch.Submit(&dram.Request{Addr: m.line << memsys.LineShift, Write: true})
-	})
 }
 
 // CheckInvariants verifies protocol sanity at quiescence: every word
@@ -330,10 +383,21 @@ func (s *System) CheckInvariants() error {
 	}
 	var err error
 	for t, sl := range s.l2s {
-		if len(sl.busyEvict) != 0 {
-			return fmt.Errorf("denovo: slice %d has %d leftover evictions", t, len(sl.busyEvict))
+		for i, f := range sl.flags {
+			if f&(lineGated|lineEvicting) != 0 {
+				return fmt.Errorf("denovo: slice %d line %#x left gated or evicting (flags %03b)",
+					t, i*len(s.l2s)+t, f)
+			}
 		}
-		_ = t
+		var ferr error
+		sl.foreign.Range(func(line uint32, f *uint8) {
+			if *f&(lineGated|lineEvicting) != 0 && ferr == nil {
+				ferr = fmt.Errorf("denovo: slice %d foreign line %#x left gated or evicting (flags %03b)", t, line, *f)
+			}
+		})
+		if ferr != nil {
+			return ferr
+		}
 	}
 	// Registration consistency.
 	for _, sl := range s.l2s {

@@ -26,10 +26,10 @@ func (s *System) DebugState() string {
 		})
 	}
 	for t, sl := range s.l2s {
-		for line, e := range sl.dir {
-			if e.busy != nil {
+		for i := range sl.dir {
+			if e := &sl.dir[i]; e.busy != nil {
 				fmt.Fprintf(&b, "L2[%d]: line %#x busy kind=%d req=%d unb=%v dwn=%v acks=%d\n",
-					t, line, e.busy.kind, e.busy.requestor, e.busy.needUnblock, e.busy.needDowngrade, e.busy.pendingAcks)
+					t, i*len(s.l2s)+t, e.busy.kind, e.busy.requestor, e.busy.needUnblock, e.busy.needDowngrade, e.busy.pendingAcks)
 			}
 		}
 	}
@@ -45,8 +45,8 @@ func (s *System) DumpWord(addr uint32) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "word %#x (line %#x w%d): mem=%d\n", addr, line, w, env.MemRead(addr))
 	home := s.l2s[env.Cfg.HomeTile(line)]
-	if e := home.dir[line]; e != nil {
-		fmt.Fprintf(&b, "  dir: owner=%d sharers=%04x hasData=%v busy=%v\n", e.owner, e.sharers, e.hasData, e.busy != nil)
+	if e := home.lookup(line); e != nil {
+		fmt.Fprintf(&b, "  dir: owner=%d sharers=%016x hasData=%v busy=%v\n", e.owner, e.sharers, e.hasData, e.busy != nil)
 	} else {
 		fmt.Fprintf(&b, "  dir: no entry\n")
 	}

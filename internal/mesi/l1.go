@@ -2,6 +2,7 @@ package mesi
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/coher"
@@ -19,8 +20,11 @@ type loadWaiter struct {
 	done func(val uint32, s memsys.Sample)
 }
 
-// mshr tracks one outstanding L1 transaction for a line.
+// mshr tracks one outstanding L1 transaction for a line. Records are
+// free-listed per L1; id tells a recycled record from the transaction a
+// pending NACK retry was scheduled for.
 type mshr struct {
+	id      uint64
 	line    uint32
 	isStore bool // GetX/Upgrade for the store buffer
 	upgrade bool // issued as an Upgrade (may convert to GetX on retry)
@@ -58,8 +62,11 @@ type l1Cache struct {
 	tile int
 	c    *cache.Cache
 
-	mshrs coher.Table[mshr]
-	wbBuf coher.Table[wbEntry]
+	mshrs  coher.Table[mshr]
+	wbBuf  coher.Table[wbEntry]
+	mshrFL coher.Pool[mshr]
+	wbFL   coher.Pool[wbEntry]
+	nextID uint64
 
 	sb           coher.StoreBuffer
 	storeTxns    int
@@ -89,6 +96,23 @@ func newL1(s *System, tile int) *l1Cache {
 }
 
 func (l *l1Cache) env() *memsys.Env { return l.sys.Env }
+
+// newMSHR installs a recycled MSHR for line.
+func (l *l1Cache) newMSHR(line uint32, isStore bool, tIssue int64) *mshr {
+	m := l.mshrFL.Get()
+	l.nextID++
+	*m = mshr{id: l.nextID, line: line, isStore: isStore, tIssue: tIssue, loadWaiters: m.loadWaiters[:0]}
+	l.mshrs.Put(line, m)
+	return m
+}
+
+// dropWB deletes line's victim-buffer entry and recycles it.
+func (l *l1Cache) dropWB(line uint32) {
+	if wb := l.wbBuf.Get(line); wb != nil {
+		l.wbBuf.Delete(line)
+		l.wbFL.Put(wb)
+	}
+}
 
 // --- core-facing operations ---
 
@@ -135,9 +159,8 @@ func (l *l1Cache) loadAttempt(addr uint32, tIssue int64, done func(uint32, memsy
 		m.loadWaiters = append(m.loadWaiters, loadWaiter{w, done})
 		return
 	}
-	m := &mshr{line: line, tIssue: tIssue}
+	m := l.newMSHR(line, false, tIssue)
 	m.loadWaiters = append(m.loadWaiters, loadWaiter{w, done})
-	l.mshrs.Put(line, m)
 	l.sendGetS(m)
 }
 
@@ -159,14 +182,15 @@ func (l *l1Cache) storePush(addr, val uint32) bool {
 // concurrency bound.
 func (l *l1Cache) pumpStores() {
 	env := l.env()
-	seen := map[uint32]bool{}
+	var seenBuf [32]uint32 // the paper's store buffer holds 32 writes
+	seen := seenBuf[:0]
 	entries := l.sb.Entries()
 	for i := 0; i < len(entries); i++ {
 		line := memsys.LineOf(entries[i].Addr)
-		if seen[line] {
+		if slices.Contains(seen, line) {
 			continue
 		}
-		seen[line] = true
+		seen = append(seen, line)
 		if l.mshrs.Has(line) {
 			continue // a transaction for this line is already in flight
 		}
@@ -177,15 +201,14 @@ func (l *l1Cache) pumpStores() {
 			l.applyStores(ln)
 			i = -1 // sb mutated; restart scan
 			entries = l.sb.Entries()
-			seen = map[uint32]bool{}
+			seen = seen[:0]
 			continue
 		}
 		if l.storeTxns >= maxStoreTxns {
 			break
 		}
 		l.storeTxns++
-		m := &mshr{line: line, isStore: true, tIssue: env.K.Now()}
-		l.mshrs.Put(line, m)
+		m := l.newMSHR(line, true, env.K.Now())
 		if ln := l.c.Lookup(line); ln != nil && ln.State == stS {
 			m.upgrade = true
 			home := env.Cfg.HomeTile(line)
@@ -303,7 +326,7 @@ func (l *l1Cache) tryCompleteFill(ms *mshr) {
 	} else {
 		ln = l.allocate(ms.line)
 		ln.State = ms.state
-		insts := make([]uint64, lineWords)
+		var insts [lineWords]uint64
 		for w := 0; w < lineWords; w++ {
 			a := memsys.AddrOf(ms.line, w)
 			ln.Data[w] = ms.data[w]
@@ -315,7 +338,7 @@ func (l *l1Cache) tryCompleteFill(ms *mshr) {
 				env.Prof.MemAddRef(ms.minst[w])
 			}
 		}
-		env.Traffic.Data(ms.class, ms.hopsIn, insts)
+		env.Traffic.Data(ms.class, ms.hopsIn, insts[:])
 	}
 
 	// Directory unblock. MMemL1 load fills from memory carry the data to
@@ -350,6 +373,7 @@ func (l *l1Cache) tryCompleteFill(ms *mshr) {
 		l.applyStores(ln)
 		l.pumpStores()
 	}
+	l.mshrFL.Put(ms)
 }
 
 func (l *l1Cache) handleNack(m *msgNack) {
@@ -362,7 +386,7 @@ func (l *l1Cache) handleNack(m *msgNack) {
 		if wb.aborted {
 			// Ownership moved while the put was in flight; nothing to
 			// retry and no ack will come for the stale put.
-			l.wbBuf.Delete(m.line)
+			l.dropWB(m.line)
 			l.pumpStores()
 			return
 		}
@@ -373,8 +397,9 @@ func (l *l1Cache) handleNack(m *msgNack) {
 	if ms == nil {
 		return // transaction already satisfied (stale NACK)
 	}
+	id := ms.id
 	l.sys.NackBackoff(m.from, l.tile, func() {
-		if l.mshrs.Get(m.line) != ms {
+		if l.mshrs.Get(m.line) != ms || ms.id != id {
 			return
 		}
 		if !ms.isStore {
@@ -493,7 +518,7 @@ func (l *l1Cache) handleRecall(m *msgRecall) {
 }
 
 func (l *l1Cache) handleWBAck(m *msgWBAck) {
-	l.wbBuf.Delete(m.line)
+	l.dropWB(m.line)
 	l.pumpStores() // lines blocked on the victim buffer can proceed now
 }
 
@@ -517,7 +542,8 @@ func (l *l1Cache) allocate(line uint32) *cache.Line {
 	})
 	if victim.Valid {
 		vline := victim.Tag
-		wb := &wbEntry{line: vline, dirty: victim.State == stM}
+		wb := l.wbFL.Get()
+		*wb = wbEntry{line: vline, dirty: victim.State == stM}
 		wb.data, wb.wmask = coher.SnapshotData(victim), coher.DirtyMask(victim, wDirty)
 		wb.minst = coher.SnapshotMInst(victim)
 		coher.ReleaseL1Line(env, victim, true, false)
@@ -530,7 +556,7 @@ func (l *l1Cache) allocate(line uint32) *cache.Line {
 
 func (l *l1Cache) sendPut(wb *wbEntry) {
 	if wb.aborted {
-		l.wbBuf.Delete(wb.line)
+		l.dropWB(wb.line)
 		return
 	}
 	env := l.env()

@@ -44,17 +44,27 @@ type Options struct {
 	MemToL1 bool // MMemL1
 }
 
+// MaxCores is the most cores a MESI system serves: the directory keeps
+// one sharer bit per core in a uint64. Cores map one per tile from tile
+// 0, so larger meshes are fine as long as at most MaxCores of their tiles
+// run a core.
+const MaxCores = 64
+
 // System is a complete MESI memory system over the coher substrate.
 type System struct {
 	coher.Substrate
 	opt Options
 	l1s []*l1Cache
 	l2s []*l2Slice
+
+	mcOps     coher.Pool[mcOp]
+	mcIssueFn func(any) // s.mcIssue, bound once
 }
 
 // New builds the protocol engine and registers its tiles on the mesh.
 func New(env *memsys.Env, opt Options) *System {
 	s := &System{Substrate: coher.NewSubstrate(env), opt: opt}
+	s.mcIssueFn = s.mcIssue
 	n := env.Cfg.Tiles
 	s.l1s = make([]*l1Cache, n)
 	s.l2s = make([]*l2Slice, n)
@@ -77,13 +87,23 @@ func (s *System) Name() string {
 	return "MESI"
 }
 
+// checkCore fails loudly for a core the directory's sharer vector cannot
+// name (core.planMatrix rejects such runs up front).
+func checkCore(core int) {
+	if core >= MaxCores {
+		panic(fmt.Sprintf("mesi: core %d beyond the directory's %d sharer bits", core, MaxCores))
+	}
+}
+
 // Load implements memsys.Protocol.
 func (s *System) Load(core int, addr uint32, done func(uint32, memsys.Sample)) {
+	checkCore(core)
 	s.l1s[core].load(addr, done)
 }
 
 // Store implements memsys.Protocol.
 func (s *System) Store(core int, addr uint32, val uint32) bool {
+	checkCore(core)
 	return s.l1s[core].storePush(addr, val)
 }
 
@@ -102,9 +122,9 @@ func (s *System) AtBarrier(written []uint8) {}
 // and no leftover transactions. Tests call it after Run.
 func (s *System) CheckInvariants() error {
 	for t, sl := range s.l2s {
-		for line, e := range sl.dir {
-			if e.busy != nil {
-				return fmt.Errorf("mesi: tile %d line %#x still busy", t, line)
+		for i := range sl.dir {
+			if sl.dir[i].busy != nil {
+				return fmt.Errorf("mesi: tile %d line %#x still busy", t, i*len(s.l2s)+t)
 			}
 		}
 	}
@@ -122,7 +142,7 @@ func (s *System) CheckInvariants() error {
 				return
 			}
 			home := s.l2s[s.Env.Cfg.HomeTile(ln.Tag)]
-			e := home.dir[ln.Tag]
+			e := home.lookup(ln.Tag)
 			if home.c.Lookup(ln.Tag) == nil || e == nil {
 				err = fmt.Errorf("mesi: inclusivity violation: tile %d holds line %#x absent from L2", tile, ln.Tag)
 				return
@@ -152,64 +172,98 @@ func (s *System) l2HasWord(addr uint32) bool {
 	if l == nil {
 		return false
 	}
-	e := sl.dir[line]
+	e := sl.lookup(line)
 	return e != nil && e.hasData
 }
 
 // --- memory controller ---
 
+// mcOp is one memory-controller access in flight: the MC latency, then
+// the DRAM burst. Records are free-listed per system, and each binds its
+// burst-completion callback once, when first made, so an access schedules
+// no closure.
+type mcOp struct {
+	s     *System
+	tile  int
+	read  *msgMemRead // a line read, or
+	wb    *msgMemWB   // a full-line writeback
+	tAtMC int64
+	req   dram.Request
+	done  func(int64)
+}
+
+// startMC queues op's DRAM access one MC latency from now.
+func (s *System) startMC(tile int, read *msgMemRead, wb *msgMemWB) {
+	op := s.mcOps.Get()
+	if op.done == nil {
+		op.s, op.done = s, op.finish
+	}
+	op.tile, op.read, op.wb, op.tAtMC = tile, read, wb, s.Env.K.Now()
+	s.Env.K.AtArg(op.tAtMC+s.Env.Cfg.MCLatency, s.mcIssueFn, op)
+}
+
 // handleMemRead services a line read at an MC tile: DRAM timing via the
 // channel model, values from the backing store, fresh memory-level waste
 // instances for every word shipped.
-func (s *System) handleMemRead(tile int, m *msgMemRead) {
-	env := s.Env
-	ch := env.Chans[env.Cfg.Channel(m.line)]
-	tAtMC := env.K.Now()
-	env.K.After(env.Cfg.MCLatency, func() {
-		ch.Submit(dramReq(m.line, false, func(finish int64) {
-			var data [lineWords]uint32
-			var minst [lineWords]uint64
-			for w := 0; w < lineWords; w++ {
-				a := memsys.AddrOf(m.line, w)
-				data[w] = env.MemRead(a)
-				minst[w] = env.Prof.MemFetch(a, s.l2HasWord(a))
-			}
-			if m.direct {
-				// MMemL1: straight to the requesting L1.
-				hops := s.CtlHops(m.class, memsys.BRespCtl, tile, m.requestor)
-				s.SendData(tile, m.requestor, lineWords, &msgData{
-					line: m.line, state: m.grant, data: data, minst: minst,
-					fromMem: true, tIssue: m.tIssue, tAtMC: tAtMC, tDram: finish,
-					hops: hops, class: m.class,
-				})
-				return
-			}
-			hops := s.CtlHops(m.class, memsys.BRespCtl, tile, m.home)
-			s.SendData(tile, m.home, lineWords, &msgMemData{
-				line: m.line, data: data, minst: minst, class: m.class,
-				grant: m.grant, req: m.requestor,
-				tIssue: m.tIssue, tAtMC: tAtMC, tDram: finish, hops: hops,
-			})
-		}))
-	})
-}
+func (s *System) handleMemRead(tile int, m *msgMemRead) { s.startMC(tile, m, nil) }
 
 // handleMemWB writes a full line back to DRAM (MESI always writes whole
 // lines; partial-write support is a DeNovo optimization).
-func (s *System) handleMemWB(tile int, m *msgMemWB) {
+func (s *System) handleMemWB(tile int, m *msgMemWB) { s.startMC(tile, nil, m) }
+
+// mcIssue submits an MC access to its DRAM channel once the MC latency
+// has passed; a writeback commits its words to the backing store first.
+func (s *System) mcIssue(arg any) {
+	op := arg.(*mcOp)
 	env := s.Env
-	ch := env.Chans[env.Cfg.Channel(m.line)]
-	env.K.After(env.Cfg.MCLatency, func() {
+	var line uint32
+	if m := op.wb; m != nil {
+		line = m.line
 		for w := 0; w < lineWords; w++ {
 			if m.wmask&(1<<w) != 0 {
 				env.MemWrite(memsys.AddrOf(m.line, w), m.data[w])
 			}
 		}
-		ch.Submit(dramReq(m.line, true, nil))
-	})
+	} else {
+		line = op.read.line
+	}
+	op.req = dram.Request{Addr: line << memsys.LineShift, Write: op.wb != nil, Done: op.done}
+	env.Chans[env.Cfg.Channel(line)].Submit(&op.req)
 }
 
-// dramReq builds a line-granularity DRAM request.
-func dramReq(line uint32, write bool, done func(int64)) *dram.Request {
-	return &dram.Request{Addr: line << memsys.LineShift, Write: write, Done: done}
+// finish completes an MC access when its DRAM burst ends: a read ships
+// the line to the home L2 (or, under MMemL1, straight to the requesting
+// L1). The record goes back on the free list.
+func (op *mcOp) finish(finish int64) {
+	s, tile, m := op.s, op.tile, op.read
+	tAtMC := op.tAtMC
+	op.read, op.wb = nil, nil
+	s.mcOps.Put(op)
+	if m == nil {
+		return
+	}
+	env := s.Env
+	var data [lineWords]uint32
+	var minst [lineWords]uint64
+	for w := 0; w < lineWords; w++ {
+		a := memsys.AddrOf(m.line, w)
+		data[w] = env.MemRead(a)
+		minst[w] = env.Prof.MemFetch(a, s.l2HasWord(a))
+	}
+	if m.direct {
+		// MMemL1: straight to the requesting L1.
+		hops := s.CtlHops(m.class, memsys.BRespCtl, tile, m.requestor)
+		s.SendData(tile, m.requestor, lineWords, &msgData{
+			line: m.line, state: m.grant, data: data, minst: minst,
+			fromMem: true, tIssue: m.tIssue, tAtMC: tAtMC, tDram: finish,
+			hops: hops, class: m.class,
+		})
+		return
+	}
+	hops := s.CtlHops(m.class, memsys.BRespCtl, tile, m.home)
+	s.SendData(tile, m.home, lineWords, &msgMemData{
+		line: m.line, data: data, minst: minst, class: m.class,
+		grant: m.grant, req: m.requestor,
+		tIssue: m.tIssue, tAtMC: tAtMC, tDram: finish, hops: hops,
+	})
 }

@@ -132,7 +132,7 @@ type Profiler struct {
 	recs     []inst // slot 0 reserved
 	free     uint32 // head of the free-slot list (0 = empty)
 	created  uint64
-	memChain map[uint32]uint32 // word addr -> first slot of its open LevelMem chain
+	memChain chainTable // word addr -> first slot of its open LevelMem chain
 	counts   [numLevels][numCategories]uint64
 
 	measuring  bool
@@ -141,7 +141,7 @@ type Profiler struct {
 
 // NewProfiler creates an empty profiler (warm-up mode: not measuring).
 func NewProfiler() *Profiler {
-	return &Profiler{recs: make([]inst, 1), memChain: make(map[uint32]uint32)}
+	return &Profiler{recs: make([]inst, 1)}
 }
 
 // live returns id's record, or nil when id is 0 or stale (its instance
@@ -298,8 +298,8 @@ func (p *Profiler) MemFetch(addr uint32, presentInL2 bool) uint64 {
 		p.classify(uint32(id), Fetch)
 		return id
 	}
-	in.next = p.memChain[addr]
-	p.memChain[addr] = uint32(id)
+	in.next = p.memChain.get(addr)
+	p.memChain.set(addr, uint32(id))
 	return id
 }
 
@@ -347,19 +347,19 @@ func (p *Profiler) MemLoad(id uint64) { p.settle(id, Used) }
 // every other on-chip copy (§4.1). The chain's order is not creation order,
 // which is harmless: memory-level shares never reach the traffic recorder.
 func (p *Profiler) MemStore(addr uint32) {
-	for slot := p.memChain[addr]; slot != 0; slot = p.memChain[addr] {
+	for slot := p.memChain.get(addr); slot != 0; slot = p.memChain.get(addr) {
 		p.classify(slot, Write) // unchains slot, advancing the head
 	}
 }
 
 // unchain removes slot from addr's open-Mem chain.
 func (p *Profiler) unchain(addr, slot uint32) {
-	head := p.memChain[addr]
+	head := p.memChain.get(addr)
 	if head == slot {
 		if next := p.recs[slot].next; next != 0 {
-			p.memChain[addr] = next
+			p.memChain.set(addr, next)
 		} else {
-			delete(p.memChain, addr)
+			p.memChain.del(addr)
 		}
 		return
 	}

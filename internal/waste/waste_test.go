@@ -299,8 +299,11 @@ func TestSlotTableBound(t *testing.T) {
 	if got := len(p.recs) - 1; got > 2 {
 		t.Fatalf("record table grew to %d slots for at most 2 open instances", got)
 	}
-	if len(p.memChain) != 0 {
-		t.Fatalf("%d addresses left in the open-memory chains", len(p.memChain))
+	if p.memChain.n != 0 {
+		t.Fatalf("%d addresses left in the open-memory chains", p.memChain.n)
+	}
+	if got := len(p.memChain.keys); got > 1<<chainMinBits {
+		t.Fatalf("chain table grew to %d buckets for at most 1 open address", got)
 	}
 	if got := p.Instances(); got != 3*n {
 		t.Fatalf("Instances() = %d, want %d created", got, 3*n)
