@@ -14,6 +14,7 @@
 package repro
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -319,7 +320,7 @@ func sweepBench(b *testing.B, opt core.MatrixOptions, spec string) {
 	b.Helper()
 	var table *core.SweepTable
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunSweep(opt, spec)
+		res, err := core.RunSweep(context.Background(), opt, spec, core.SweepOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -89,7 +89,7 @@ func run() (code int) {
 		strings.Join(core.MeshPresets(), ", ")+"); tiles, corner MC placement and Bloom banks follow, and -threads must not exceed the tile count")
 	topology := flag.String("topology", "mesh", "NoC topology: "+strings.Join(mesh.TopologyKinds(), ", "))
 	router := flag.String("router", "ideal", "router model: "+routerHelp())
-	vcs := flag.Int("vcs", 0, "vc router: virtual channels per input port (0 = model default; even, >= 2)")
+	vcs := flag.Int("vcs", 0, "vc router: virtual channels per input port (0 = model default; even, 2..32768)")
 	vcdepth := flag.Int("vcdepth", 0, "vc router: flit buffer depth per VC (0 = model default)")
 	workers := flag.Int("workers", 0, "parallel simulations (0 = one per CPU, 1 = serial)")
 	quiet := flag.Bool("q", false, "suppress progress output")

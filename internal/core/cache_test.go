@@ -34,7 +34,7 @@ func runCachedSweep(t *testing.T, dir string) (*core.SweepResult, []core.SweepPo
 	}
 	var statuses []core.SweepPointStatus
 	opt, spec := cacheSweepOptions()
-	res, err := core.RunSweepOpt(context.Background(), opt, spec, core.SweepOptions{
+	res, err := core.RunSweep(context.Background(), opt, spec, core.SweepOptions{
 		Cache:    cache,
 		Progress: func(ev core.SweepProgress) { statuses = append(statuses, ev.Status) },
 	})
@@ -232,7 +232,7 @@ func TestSweepCacheCorruptEntryFallsBack(t *testing.T) {
 	var corrupt []error
 	var started int
 	opt, spec := cacheSweepOptions()
-	res, err := core.RunSweepOpt(context.Background(), opt, spec, core.SweepOptions{
+	res, err := core.RunSweep(context.Background(), opt, spec, core.SweepOptions{
 		Cache: cache,
 		Progress: func(ev core.SweepProgress) {
 			switch ev.Status {

@@ -1,9 +1,7 @@
 package core_test
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"context"
 	"reflect"
 	"testing"
 
@@ -12,127 +10,79 @@ import (
 	"repro/internal/workloads"
 )
 
-const goldenDeflPath = "testdata/golden_tiny_deflection.json"
+// goldenRouterFigureIDs are the cycle-router snapshots' tables: the
+// headline traffic figure plus the congestion-telemetry table. Unlike the
+// main golden (where "net" is excluded so new telemetry columns stay
+// cheap), these snapshots pin "net" on purpose — latency profiles, VC
+// occupancy and deflected hops ARE the behavior under test.
+var goldenRouterFigureIDs = []string{"5.1a", "net"}
 
-// goldenDeflFigureIDs are the deflection snapshot's tables: the headline
-// traffic figure plus the congestion-telemetry table. Unlike the main
-// golden (where "net" is excluded so new telemetry columns stay cheap),
-// the deflection snapshot pins "net" on purpose — DeflectedHops and the
-// deflection router's latency profile ARE the behavior under test.
-var goldenDeflFigureIDs = []string{"5.1a", "net"}
+// goldenRouters are the cycle-level routers pinned end to end: the full
+// Tiny benchmark suite under the protocol ladder's endpoints and midpoint,
+// every cell on the router. sanityCol names the "net" column that must be
+// nonzero in some cell, so a snapshot cannot silently pin an ideal-like
+// run: VC buffers must fill under "vc", flits must deflect under
+// "deflection".
+var goldenRouters = []struct {
+	router, path, sanityCol string
+}{
+	{"vc", "testdata/golden_tiny_vc.json", "Peak VC"},
+	{"deflection", "testdata/golden_tiny_deflection.json", "Defl Hops"},
+}
 
-// goldenDeflOptions is the pinned configuration: the full Tiny benchmark
-// suite under the protocol ladder's endpoints and midpoint, every cell on
-// the deflection router.
-func goldenDeflOptions() core.MatrixOptions {
-	return core.MatrixOptions{
-		Size:      workloads.Tiny,
-		Protocols: []string{"MESI", "DeNovo", "DBypFull"},
-		Router:    "deflection",
+// TestGoldenTinyCycleRouters pins each cycle-level router end to end the
+// same way TestGoldenTinyMatrix pins the ideal model: the Tiny matrix
+// under the router must reproduce the checked-in figure and telemetry
+// tables exactly. Intentional model changes regenerate the snapshots with:
+//
+//	go test ./internal/core -run TestGoldenTinyCycleRouters -update
+func TestGoldenTinyCycleRouters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full Tiny cycle-router matrices are slow; run without -short")
+	}
+	for _, gr := range goldenRouters {
+		t.Run(gr.router, func(t *testing.T) {
+			m, err := core.RunMatrix(core.MatrixOptions{
+				Size:      workloads.Tiny,
+				Protocols: []string{"MESI", "DeNovo", "DBypFull"},
+				Router:    gr.router,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := goldenFile{Figures: make(map[string]*core.Table, len(goldenRouterFigureIDs))}
+			for _, id := range goldenRouterFigureIDs {
+				tab, err := m.Figure(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got.Figures[id] = tab
+			}
+			checkGoldenSanity(t, got.Figures["net"], gr.router, gr.sanityCol)
+			compareGolden(t, gr.path, &got, goldenRouterFigureIDs)
+		})
 	}
 }
 
-// TestGoldenTinyDeflection pins the deflection router end to end the same
-// way TestGoldenTinyMatrix pins the ideal model: the Tiny matrix under
-// Router=deflection must reproduce the checked-in figure and telemetry
-// tables exactly — deflected-hop counts included. Intentional model
-// changes regenerate the snapshot with:
-//
-//	go test ./internal/core -run TestGoldenTinyDeflection -update
-func TestGoldenTinyDeflection(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full Tiny deflection matrix is slow; run without -short")
-	}
-	m, err := core.RunMatrix(goldenDeflOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := goldenFile{Figures: make(map[string]*core.Table, len(goldenDeflFigureIDs))}
-	for _, id := range goldenDeflFigureIDs {
-		tab, err := m.Figure(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.Figures[id] = tab
-	}
-
-	// Sanity the snapshot is pinning real deflection behavior, not a
-	// silently-ideal run: some cell must have recorded deflected hops.
-	var deflTotal float64
-	net := got.Figures["net"]
-	col := -1
+// checkGoldenSanity fails unless some row of the congestion table has a
+// positive value in column col.
+func checkGoldenSanity(t *testing.T, net *core.Table, router, col string) {
+	t.Helper()
+	idx := -1
 	for i, c := range net.Columns {
-		if c == "Defl Hops" {
-			col = i
+		if c == col {
+			idx = i
 		}
 	}
-	if col < 0 {
-		t.Fatalf("congestion table has no Defl Hops column: %v", net.Columns)
+	if idx < 0 {
+		t.Fatalf("congestion table has no %s column: %v", col, net.Columns)
 	}
 	for _, row := range net.Rows {
-		deflTotal += row.Values[col]
-	}
-	if deflTotal <= 0 {
-		t.Fatal("no cell of the Tiny deflection matrix recorded deflected hops")
-	}
-
-	if *updateGolden {
-		buf, err := json.MarshalIndent(&got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenDeflPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenDeflPath, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d figures)", goldenDeflPath, len(got.Figures))
-		return
-	}
-
-	raw, err := os.ReadFile(goldenDeflPath)
-	if err != nil {
-		t.Fatalf("%v — generate the snapshot with -update", err)
-	}
-	var want goldenFile
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("corrupt golden file: %v", err)
-	}
-	// Round-trip the measured state through JSON so both sides compare
-	// post-serialization (identical float64 round-trips, normalized nils).
-	buf, err := json.Marshal(&got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gotRT goldenFile
-	if err := json.Unmarshal(buf, &gotRT); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range goldenDeflFigureIDs {
-		w, g := want.Figures[id], gotRT.Figures[id]
-		if w == nil {
-			t.Errorf("figure %s missing from golden file — regenerate with -update", id)
-			continue
-		}
-		if reflect.DeepEqual(w, g) {
-			continue
-		}
-		if !reflect.DeepEqual(w.Columns, g.Columns) {
-			t.Errorf("figure %s: columns drifted: want %v, got %v", id, w.Columns, g.Columns)
-			continue
-		}
-		if len(w.Rows) != len(g.Rows) {
-			t.Errorf("figure %s: %d rows, golden has %d", id, len(g.Rows), len(w.Rows))
-			continue
-		}
-		for i := range w.Rows {
-			if !reflect.DeepEqual(w.Rows[i], g.Rows[i]) {
-				t.Errorf("figure %s row %d (%s/%s) drifted:\nwant %v\ngot  %v",
-					id, i, w.Rows[i].Bench, w.Rows[i].Protocol, w.Rows[i].Values, g.Rows[i].Values)
-			}
+		if row.Values[idx] > 0 {
+			return
 		}
 	}
+	t.Fatalf("no cell of the Tiny %s matrix recorded a positive %s", router, col)
 }
 
 // TestDeflectionMatrixMatchesSerial extends the bit-identical-at-any-
@@ -212,11 +162,11 @@ func TestDeflectionSweepDivergesFromVC(t *testing.T) {
 		t.Skip("two 3-point sweeps are slow; run without -short")
 	}
 	sweep := func(router string) *core.SweepTable {
-		res, err := core.RunSweep(core.MatrixOptions{
+		res, err := core.RunSweep(context.Background(), core.MatrixOptions{
 			Size:      workloads.Tiny,
 			Protocols: []string{"MESI"},
 			Router:    router,
-		}, "hotspot(t=1,4,16)")
+		}, "hotspot(t=1,4,16)", core.SweepOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,7 @@ import (
 )
 
 var updateGolden = flag.Bool("update", false,
-	"rewrite internal/core/testdata/golden_tiny.json from the current model")
+	"rewrite the internal/core/testdata golden snapshots from the current model")
 
 // goldenFigureIDs are the snapshotted paper figures. The congestion table
 // ("net") is deliberately excluded: it is new telemetry, not a pinned
@@ -57,22 +57,30 @@ func TestGoldenTinyMatrix(t *testing.T) {
 		got.Figures[id] = tab
 	}
 
+	compareGolden(t, goldenPath, &got, goldenFigureIDs)
+}
+
+// compareGolden rewrites path from got under -update, and otherwise
+// requires the summary and every figure in ids to match the snapshot
+// exactly.
+func compareGolden(t *testing.T, path string, got *goldenFile, ids []string) {
+	t.Helper()
 	if *updateGolden {
-		buf, err := json.MarshalIndent(&got, "", "  ")
+		buf, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, append(buf, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d figures)", goldenPath, len(got.Figures))
+		t.Logf("rewrote %s (%d figures)", path, len(got.Figures))
 		return
 	}
 
-	raw, err := os.ReadFile(goldenPath)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v — generate the snapshot with -update", err)
 	}
@@ -82,7 +90,7 @@ func TestGoldenTinyMatrix(t *testing.T) {
 	}
 	// Round-trip the measured state through JSON so both sides compare
 	// post-serialization (identical float64 round-trips, normalized nils).
-	buf, err := json.Marshal(&got)
+	buf, err := json.Marshal(got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +98,10 @@ func TestGoldenTinyMatrix(t *testing.T) {
 	if err := json.Unmarshal(buf, &gotRT); err != nil {
 		t.Fatal(err)
 	}
-
 	if !reflect.DeepEqual(want.Summary, gotRT.Summary) {
 		t.Errorf("summary drifted from golden:\nwant %+v\ngot  %+v", want.Summary, gotRT.Summary)
 	}
-	for _, id := range goldenFigureIDs {
+	for _, id := range ids {
 		w, g := want.Figures[id], gotRT.Figures[id]
 		if w == nil {
 			t.Errorf("figure %s missing from golden file — regenerate with -update", id)

@@ -149,7 +149,7 @@ func TestSweepMeshCacheResume(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	partial, err := core.RunSweepOpt(ctx, opt, spec, core.SweepOptions{
+	partial, err := core.RunSweep(ctx, opt, spec, core.SweepOptions{
 		Cache: cache,
 		Progress: func(ev core.SweepProgress) {
 			if ev.Status == core.SweepPointDone {
@@ -165,7 +165,7 @@ func TestSweepMeshCacheResume(t *testing.T) {
 	}
 
 	var cachedN, simulatedN int
-	resumed, err := core.RunSweepOpt(context.Background(), opt, spec, core.SweepOptions{
+	resumed, err := core.RunSweep(context.Background(), opt, spec, core.SweepOptions{
 		Cache: cache,
 		Progress: func(ev core.SweepProgress) {
 			switch ev.Status {
@@ -183,7 +183,7 @@ func TestSweepMeshCacheResume(t *testing.T) {
 		t.Errorf("resume served %d points from cache and simulated %d, want 1 and 1", cachedN, simulatedN)
 	}
 
-	fresh, err := core.RunSweepOpt(context.Background(), opt, spec, core.SweepOptions{})
+	fresh, err := core.RunSweep(context.Background(), opt, spec, core.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

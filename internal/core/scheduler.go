@@ -11,7 +11,7 @@ package core
 // which keeps the assembled output bit-identical at every worker count.
 //
 // The same pool runs a single matrix (RunMatrixContext: one plan) and a
-// sweep (RunSweepOpt: one plan per non-cached point).
+// sweep (RunSweep: one plan per non-cached point).
 
 import (
 	"context"

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/memsys"
+	"repro/internal/mesh"
 	"repro/internal/workloads"
 )
 
@@ -128,27 +129,40 @@ func verifyDRF(t *testing.T, p *randProgram) {
 }
 
 // TestStressRandomDRFPrograms runs randomly generated race-free programs
-// under every protocol configuration with the load-value oracle active.
-// This is the broadest race hunt in the suite: ownership migrates between
-// cores at random, objects straddle lines, bypass and Flex regions mix
-// with plain ones, and tiny caches force constant evictions and recalls.
+// under every protocol configuration, on every router and topology, with
+// the load-value oracle active. This is the broadest race hunt in the
+// suite: ownership migrates between cores at random, objects straddle
+// lines, bypass and Flex regions mix with plain ones, tiny caches force
+// constant evictions and recalls, and the cycle-level fabrics deliver
+// with timings (and, under deflection, reorderings) the ideal router
+// never produces. No run may schedule an event in the past.
 func TestStressRandomDRFPrograms(t *testing.T) {
 	seeds := []int64{1, 7, 42, 1337, 90210}
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
-	cfg := memsys.Default().Scaled(64)
-	for _, seed := range seeds {
-		prog := newRandProgram(seed)
-		verifyDRF(t, prog)
-		for _, proto := range core.ProtocolNames() {
-			res, err := core.RunOne(cfg, proto, prog)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			if res.ExecCycles <= 0 {
-				t.Fatalf("seed %d %s: no execution", seed, proto)
-			}
+	for _, router := range mesh.RouterKinds() {
+		for _, topo := range mesh.TopologyKinds() {
+			t.Run(router+"/"+topo, func(t *testing.T) {
+				cfg := memsys.Default().Scaled(64)
+				cfg.Router, cfg.Topology = router, topo
+				for _, seed := range seeds {
+					prog := newRandProgram(seed)
+					verifyDRF(t, prog)
+					for _, proto := range core.ProtocolNames() {
+						res, err := core.RunOne(cfg, proto, prog)
+						if err != nil {
+							t.Fatalf("seed %d: %v", seed, err)
+						}
+						if res.ExecCycles <= 0 {
+							t.Fatalf("seed %d %s: no execution", seed, proto)
+						}
+						if res.KernelClamped != 0 {
+							t.Fatalf("seed %d %s: kernel clamped %d past-time events", seed, proto, res.KernelClamped)
+						}
+					}
+				}
+			})
 		}
 	}
 }

@@ -667,7 +667,7 @@ type SweepProgress struct {
 	Err    error
 }
 
-// SweepOptions configures RunSweepOpt beyond the per-point MatrixOptions.
+// SweepOptions configures RunSweep beyond the per-point MatrixOptions.
 type SweepOptions struct {
 	// Cache, if non-nil, serves repeated points from disk and persists
 	// each point as it completes — which is also what makes a killed
@@ -682,19 +682,7 @@ type SweepOptions struct {
 	Progress func(SweepProgress)
 }
 
-// RunSweep expands and runs a sweep over a base configuration; see
-// RunSweepContext.
-func RunSweep(opt MatrixOptions, spec string) (*SweepResult, error) {
-	return RunSweepContext(context.Background(), opt, spec)
-}
-
-// RunSweepContext is RunSweepOpt with default SweepOptions (no cache, the
-// default point cap, no sweep-level progress).
-func RunSweepContext(ctx context.Context, opt MatrixOptions, spec string) (*SweepResult, error) {
-	return RunSweepOpt(ctx, opt, spec, SweepOptions{})
-}
-
-// RunSweepOpt parses spec, expands it into per-point MatrixOptions on top
+// RunSweep parses spec, expands it into per-point MatrixOptions on top
 // of opt, and feeds every point's cells through one shared worker pool
 // (opt.Workers wide; see scheduler.go): a point is a batch of cells, the
 // pool claims cells in point-major order, and each point's matrix is
@@ -713,7 +701,7 @@ func RunSweepContext(ctx context.Context, opt MatrixOptions, spec string) (*Swee
 // the pool at the next cell boundary; the returned SweepResult then holds
 // every point that completed, alongside the error — nothing finished is
 // discarded, and a cached rerun of the same sweep resumes from there.
-func RunSweepOpt(ctx context.Context, opt MatrixOptions, spec string, sopt SweepOptions) (*SweepResult, error) {
+func RunSweep(ctx context.Context, opt MatrixOptions, spec string, sopt SweepOptions) (*SweepResult, error) {
 	s, err := ParseSweepLimit(spec, sopt.MaxPoints)
 	if err != nil {
 		return nil, err

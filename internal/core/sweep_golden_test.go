@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -34,7 +35,7 @@ func TestGoldenTinySweep(t *testing.T) {
 		t.Skip("5-point sweep x 3 protocols is slow; run without -short")
 	}
 	opt, spec := goldenSweepOptions()
-	res, err := core.RunSweep(opt, spec)
+	res, err := core.RunSweep(context.Background(), opt, spec, core.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

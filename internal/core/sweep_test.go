@@ -216,11 +216,11 @@ func sweepTestOptions(workers int) core.MatrixOptions {
 // (Workers: 0), field for field.
 func TestSweepWorkersDeterminism(t *testing.T) {
 	const spec = "hotspot(t=1,2)"
-	serial, err := core.RunSweep(sweepTestOptions(1), spec)
+	serial, err := core.RunSweep(context.Background(), sweepTestOptions(1), spec, core.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := core.RunSweep(sweepTestOptions(0), spec)
+	parallel, err := core.RunSweep(context.Background(), sweepTestOptions(0), spec, core.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,11 +251,11 @@ func TestSweepOrderingStable(t *testing.T) {
 		Protocols:  []string{"MESI"},
 		Benchmarks: []string{"LU"},
 	}
-	first, err := core.RunSweep(opt, spec)
+	first, err := core.RunSweep(context.Background(), opt, spec, core.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := core.RunSweep(opt, spec)
+	second, err := core.RunSweep(context.Background(), opt, spec, core.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestSweepCancelReturnsPartial(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	partial, err := core.RunSweepOpt(ctx, opt, spec, core.SweepOptions{
+	partial, err := core.RunSweep(ctx, opt, spec, core.SweepOptions{
 		Progress: func(ev core.SweepProgress) {
 			if ev.Status == core.SweepPointDone {
 				cancel() // first point finished; the serial pool stops at the next job
@@ -299,7 +299,7 @@ func TestSweepCancelReturnsPartial(t *testing.T) {
 		t.Errorf("partial point value %q, want %q (sweep order)", partial.Points[0].Value, "1")
 	}
 
-	full, err := core.RunSweepOpt(context.Background(), opt, spec, core.SweepOptions{})
+	full, err := core.RunSweep(context.Background(), opt, spec, core.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestSweepResumeMatchesFresh(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	partial, err := core.RunSweepOpt(ctx, opt, spec, core.SweepOptions{
+	partial, err := core.RunSweep(ctx, opt, spec, core.SweepOptions{
 		Cache: cache,
 		Progress: func(ev core.SweepProgress) {
 			if ev.Status == core.SweepPointDone {
@@ -338,7 +338,7 @@ func TestSweepResumeMatchesFresh(t *testing.T) {
 	}
 
 	var cachedN, simulatedN int
-	resumed, err := core.RunSweepOpt(context.Background(), opt, spec, core.SweepOptions{
+	resumed, err := core.RunSweep(context.Background(), opt, spec, core.SweepOptions{
 		Cache: cache,
 		Progress: func(ev core.SweepProgress) {
 			switch ev.Status {
@@ -356,7 +356,7 @@ func TestSweepResumeMatchesFresh(t *testing.T) {
 		t.Errorf("resume served %d points from cache and simulated %d, want 1 and 2", cachedN, simulatedN)
 	}
 
-	fresh, err := core.RunSweepOpt(context.Background(), opt, spec, core.SweepOptions{})
+	fresh, err := core.RunSweep(context.Background(), opt, spec, core.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestSweepPointFailureReturnsPartial(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "nope.trc")
 
 	opt := core.MatrixOptions{Size: workloads.Tiny, Protocols: []string{"MESI"}, Workers: 1}
-	res, err := core.RunSweepOpt(context.Background(), opt,
+	res, err := core.RunSweep(context.Background(), opt,
 		"replay(file="+good+","+missing+")", core.SweepOptions{})
 	if err == nil {
 		t.Fatal("sweep with a missing trace file ran without error")
@@ -429,7 +429,7 @@ func TestSweepMultiCellPointFailure(t *testing.T) {
 				Protocols: []string{"MESI", "DeNovo"}, // two cells per point
 				Workers:   workers,
 			}
-			res, err := core.RunSweepOpt(context.Background(), opt,
+			res, err := core.RunSweep(context.Background(), opt,
 				"replay(file="+good+","+missing+")", core.SweepOptions{})
 			if err == nil {
 				t.Fatal("multi-cell point failure returned a nil error (partial result passed off as complete)")
@@ -466,7 +466,7 @@ func TestSweepCacheStoreFailureIsWarning(t *testing.T) {
 
 	var storeFailed []core.SweepProgress
 	opt := core.MatrixOptions{Size: workloads.Tiny, Protocols: []string{"MESI"}, Workers: 1}
-	res, err := core.RunSweepOpt(context.Background(), opt, "hotspot(t=1,2)", core.SweepOptions{
+	res, err := core.RunSweep(context.Background(), opt, "hotspot(t=1,2)", core.SweepOptions{
 		Cache: cache,
 		Progress: func(ev core.SweepProgress) {
 			if ev.Status == core.SweepPointStoreFailed {
@@ -490,7 +490,7 @@ func TestSweepCacheStoreFailureIsWarning(t *testing.T) {
 	}
 
 	// The unpersisted sweep must still match an uncached fresh run.
-	fresh, err := core.RunSweepOpt(context.Background(), opt, "hotspot(t=1,2)", core.SweepOptions{})
+	fresh, err := core.RunSweep(context.Background(), opt, "hotspot(t=1,2)", core.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +505,7 @@ func TestSweepCacheStoreFailureIsWarning(t *testing.T) {
 func TestSweepProgressPointIdentity(t *testing.T) {
 	var events []core.SweepProgress
 	opt := core.MatrixOptions{Size: workloads.Tiny, Protocols: []string{"MESI"}, Workers: 1}
-	_, err := core.RunSweepOpt(context.Background(), opt, "hotspot(t=1,2)", core.SweepOptions{
+	_, err := core.RunSweep(context.Background(), opt, "hotspot(t=1,2)", core.SweepOptions{
 		Progress: func(ev core.SweepProgress) { events = append(events, ev) },
 	})
 	if err != nil {
@@ -590,7 +590,7 @@ func TestSweepPointFailureIsLoud(t *testing.T) {
 		Benchmarks: []string{"FTT"}, // typo: engine rejects it per point
 		Protocols:  []string{"MESI"},
 	}
-	_, err := core.RunSweep(opt, "topology=mesh,ring")
+	_, err := core.RunSweep(context.Background(), opt, "topology=mesh,ring", core.SweepOptions{})
 	if err == nil {
 		t.Fatal("sweep with an unknown benchmark ran without error")
 	}

@@ -59,7 +59,7 @@ func (s *eventSink) emit(ev Event) {
 
 // Run executes a validated Request through the core engine and returns
 // the assembled Outcome. Matrix requests run via core.RunMatrixContext;
-// sweep requests via core.RunSweepOpt, inheriting the shared worker
+// sweep requests via core.RunSweep, inheriting the shared worker
 // pool, bit-identical-at-any-worker-count assembly, cache/resume
 // machinery and context cancellation. Both the engine's per-cell
 // callback and its per-point callback are funneled into rc.Events as one
@@ -150,7 +150,7 @@ func runSweep(ctx context.Context, opt core.MatrixOptions, req Request, rc RunCo
 			sink.emit(e)
 		},
 	}
-	res, err := core.RunSweepOpt(ctx, opt, req.Sweep, sopt)
+	res, err := core.RunSweep(ctx, opt, req.Sweep, sopt)
 	var out *Outcome
 	if res != nil {
 		out = &Outcome{Sweep: res}

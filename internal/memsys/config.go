@@ -62,7 +62,8 @@ type Config struct {
 	// deadlock-avoidance scheme splits the VCs into two equal classes, so
 	// an odd count would silently give class 0 fewer buffers and skew
 	// both fairness and the torus deadlock margin. Validate rejects odd
-	// values rather than letting that imbalance happen.
+	// values rather than letting that imbalance happen, and counts above
+	// mesh.MaxVCs, which the router's credit records cannot index.
 	VCs int
 	// VCDepth is the vc router's flit buffer depth per VC (0 = default 4).
 	VCDepth int
@@ -229,6 +230,9 @@ func (c Config) Validate() error {
 	}
 	if c.VCs != 0 && (c.VCs < 2 || c.VCs%2 != 0) {
 		return fmt.Errorf("memsys: VCs = %d; the dateline split needs an even count >= 2", c.VCs)
+	}
+	if c.VCs > mesh.MaxVCs {
+		return fmt.Errorf("memsys: VCs = %d exceeds the vc router's limit of %d (credit returns index VCs in 16 bits)", c.VCs, mesh.MaxVCs)
 	}
 	if c.VCDepth < 0 {
 		return fmt.Errorf("memsys: VCDepth = %d must not be negative", c.VCDepth)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/mesh"
 	"repro/internal/waste"
 )
 
@@ -367,6 +368,18 @@ func TestConfigVCValidation(t *testing.T) {
 		cfg.VCs = vcs
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("VCs=%d accepted; the dateline split needs an even count >= 2", vcs)
+		}
+	}
+	// The credit records index VCs in 16 bits: the limit itself is legal,
+	// anything above it must fail before a simulation wraps the index.
+	cfg.VCs = mesh.MaxVCs
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("VCs=%d rejected: %v", cfg.VCs, err)
+	}
+	for _, vcs := range []int{mesh.MaxVCs + 2, 70000} {
+		cfg.VCs = vcs
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("VCs=%d accepted; the credit records index at most %d VCs", vcs, mesh.MaxVCs)
 		}
 	}
 	cfg.VCs = 0

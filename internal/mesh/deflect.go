@@ -51,14 +51,16 @@ package mesh
 // injection queue, so an old parked flit displaces younger injections
 // and cannot starve.
 //
-// Determinism, O(active) ticks, skip-ahead and the allocation-free
-// steady state all follow the vc router's scheme (see vc.go): the whole
-// network advances inside the kernel's recurring-tick slot in ascending
-// node order over an active-node bitmask, a no-progress tick proves
-// every staged flit waits on a future link arrival and skips the kernel
-// to the earliest one, and packets, flits and queue backing arrays are
-// recycled through free lists so a steady-state tick performs zero heap
-// allocations (deflect_alloc_test.go pins that).
+// Determinism, O(active) ticks and skip-ahead come from the cycle-fabric
+// core (fabric.go): the whole network advances inside the kernel's
+// recurring-tick slot in ascending node order over the active nodes (a
+// node is staged while it holds any flit: on an inbound link, in its
+// injection backlog or in its side buffer), and a no-progress tick proves
+// every staged flit waits on a future link arrival. The router's own
+// horizon is the next cycle when a same-cycle injection was gated (see
+// tickNode). Packets, flits and queue backing arrays are recycled through
+// free lists, so a steady-state tick performs zero heap allocations
+// (TestDeflectionTickZeroAlloc pins that).
 //
 // Waste accounting: every link traversal is charged to the per-link
 // utilization telemetry as it happens, and when a flit ejects, the hops
@@ -67,10 +69,7 @@ package mesh
 // minimal flit-hops the fabric charges at injection plus
 // NetStats.DeflectedHops (FuzzDeflectionPermutation pins the identity).
 
-import (
-	"math"
-	"math/bits"
-)
+import "math"
 
 // deflPkt is one packet in flight on the deflection network: flit
 // bookkeeping plus the reassembly count. Recycled through the router's
@@ -129,49 +128,8 @@ func (a *deflFlit) before(b *deflFlit) bool {
 	return a.idx < b.idx
 }
 
-// deflSlot is one in-flight flit on a link: it becomes a candidate at
-// the downstream router at cycle at.
-type deflSlot struct {
-	at int64
-	f  *deflFlit
-}
-
-// deflRing is a fixed-capacity FIFO of the flits in flight on one
-// directed link. At most one flit enters a link per cycle and every
-// arrival is consumed the tick it lands, so occupancy never exceeds
-// LinkLatency+1 and arrival stamps are strictly increasing.
-type deflRing struct {
-	s    []deflSlot
-	head int
-	n    int
-}
-
-func (r *deflRing) front() *deflSlot { return &r.s[r.head] }
-
-func (r *deflRing) pop() {
-	r.s[r.head].f = nil
-	r.head++
-	if r.head == len(r.s) {
-		r.head = 0
-	}
-	r.n--
-}
-
-func (r *deflRing) push(at int64, f *deflFlit) {
-	i := r.head + r.n
-	if i >= len(r.s) {
-		i -= len(r.s)
-	}
-	r.s[i] = deflSlot{at, f}
-	r.n++
-}
-
 // deflNode is one router of the deflection network.
 type deflNode struct {
-	rings  []deflRing // arrival ring per input port
-	downTo []int      // downstream node per output port; -1 = no link
-	downIn []int      // downstream input-port index per output port
-
 	// The local queue: injQ is the injection backlog (appended in
 	// priority order, so its head is its oldest flit) and sideQ holds
 	// side-buffered flits (at most one parks per cycle; scanned for the
@@ -180,8 +138,6 @@ type deflNode struct {
 	injQ    []*deflFlit
 	injHead int
 	sideQ   []*deflFlit
-
-	staged int // flits at this node: ring occupancy + local queue
 }
 
 // localLen returns the local-queue occupancy (injection backlog plus
@@ -203,25 +159,16 @@ const (
 )
 
 type deflRouter struct {
-	m        *Mesh
-	ports    int
-	nodes    []deflNode
-	inFlight int    // packets not yet fully ejected
-	flits    int    // flit records currently on the network
-	seq      uint64 // next packet sequence number
-
-	// activeMask has bit n set exactly while nodes[n].staged > 0; tick
-	// and nextArrival iterate it instead of scanning every node (same
-	// scheme as the vc router, pinned by TestDeflectionActiveMaskInvariant).
-	activeMask []uint64
-
-	// tickVisits counts nodes visited by tick since construction — the
-	// work counter behind the O(active) test.
-	tickVisits uint64
-
-	// wake is the cycle before which no staged flit can make progress
-	// (set by a no-progress tick; 0 = the next tick must do a full scan).
-	wake int64
+	// The core's arrival rings carry the flits in flight on each inbound
+	// link. At most one flit enters a link per cycle and every arrival is
+	// consumed the tick it lands, so a ring holds at most LinkLatency+1
+	// flits with strictly increasing stamps. A node's staged count is its
+	// ring occupancy plus its local queue.
+	fabric[*deflFlit]
+	ports int
+	nodes []deflNode
+	flits int    // flit records currently on the network
+	seq   uint64 // next packet sequence number
 
 	// Per-tick scratch, reused across nodes so arbitration allocates
 	// nothing: the candidate list (at most in-degree + 1 entries) and
@@ -241,29 +188,11 @@ type deflRouter struct {
 
 func newDeflRouter(m *Mesh) *deflRouter {
 	ports := m.topo.Ports()
-	r := &deflRouter{m: m, ports: ports}
-	r.nodes = make([]deflNode, m.topo.Tiles())
-	r.activeMask = make([]uint64, (len(r.nodes)+63)/64)
+	r := &deflRouter{fabric: newFabric[*deflFlit](m, 1, int(m.cfg.LinkLatency)+1), ports: ports}
+	r.nodes = make([]deflNode, len(r.fn))
 	r.cands = make([]deflCand, 0, ports+1)
 	r.portTaken = make([]bool, ports)
 	r.pairs = make(map[uint64]*deflPair)
-	for i := range r.nodes {
-		nd := &r.nodes[i]
-		nd.downTo = make([]int, ports)
-		for p := range nd.downTo {
-			nd.downTo[p] = -1
-		}
-		nd.downIn = make([]int, ports)
-	}
-	ringCap := int(m.cfg.LinkLatency) + 1
-	for _, l := range m.topo.Links() {
-		to := &r.nodes[l.To]
-		idx := len(to.rings)
-		to.rings = append(to.rings, deflRing{s: make([]deflSlot, ringCap)})
-		from := &r.nodes[l.From]
-		from.downTo[l.Port] = l.To
-		from.downIn[l.Port] = idx
-	}
 	m.k.SetTicker(r.tick)
 	return r
 }
@@ -312,102 +241,34 @@ func (r *deflRouter) inject(src, dst, flits int, payload any) int {
 	if occ := nd.localLen(); occ > r.m.peakVC {
 		r.m.peakVC = occ
 	}
-	r.inFlight++
-	r.wake = 0 // fresh flits invalidate any frozen-state proof
-	if !r.m.k.TickArmed() {
-		r.m.k.TickNext()
-	}
+	r.injected()
 	return hops
 }
 
-// addStaged and subStaged maintain a node's staged-flit count and the
-// active-node bitmask; they are the only writers.
-func (r *deflRouter) addStaged(n, k int) {
-	nd := &r.nodes[n]
-	if nd.staged == 0 {
-		r.activeMask[n>>6] |= 1 << uint(n&63)
-	}
-	nd.staged += k
-}
-
-func (r *deflRouter) subStaged(n, k int) {
-	nd := &r.nodes[n]
-	nd.staged -= k
-	if nd.staged == 0 {
-		r.activeMask[n>>6] &^= 1 << uint(n&63)
-	}
-}
-
 // tick advances the whole network by one cycle, or proves the cycle idle
-// and skips ahead (exactly the vc router's tick discipline).
+// and skips ahead.
 func (r *deflRouter) tick() {
 	now := r.m.k.Now()
-	if now < r.wake {
-		r.m.k.TickSkipTo(r.wake)
+	if r.frozen(now) {
 		return
 	}
 	progressed := false
 	r.injGated = false
-	// Ascending node order over the active mask. Each word is read when
-	// the range reaches it; bits set mid-tick belong to nodes whose only
-	// new state is a future-stamped link arrival, so visiting them or
-	// not is behavior-neutral (same argument as the vc router's).
-	for w, word := range r.activeMask {
-		for ; word != 0; word &= word - 1 {
-			i := w<<6 + bits.TrailingZeros64(word)
-			r.tickVisits++
-			if r.tickNode(i, now) {
-				progressed = true
-			}
+	for n, v := r.visit(); n >= 0; n, v = v.next() {
+		if r.tickNode(n, now) {
+			progressed = true
 		}
-	}
-	if r.inFlight == 0 {
-		return // network drained; the next inject re-arms the tick
-	}
-	if progressed {
-		r.wake = 0
-		r.m.k.TickNext()
-		return
 	}
 	// Nothing moved, so no arrival was due and every arbitrable local
 	// queue is empty (a node with a local flit always finds a free
 	// output): every staged flit is in flight on a link — or was injected
-	// this very cycle and gated to its first arbitration next cycle, in
-	// which case the skip horizon is capped at now+1.
-	wake := r.nextArrival(now)
-	if r.injGated && now+1 < wake {
-		wake = now + 1
+	// this very cycle and gated to its first arbitration next cycle, which
+	// caps the skip horizon at now+1.
+	horizon := int64(math.MaxInt64)
+	if r.injGated {
+		horizon = now + 1
 	}
-	if wake == math.MaxInt64 {
-		// Unreachable while flits exist (they are all on links with
-		// finite stamps), but keep the vc router's defensive shape: tick
-		// per-cycle and let the driver's livelock watchdog report.
-		r.wake = 0
-		r.m.k.TickNext()
-		return
-	}
-	r.wake = wake
-	r.m.k.TickSkipTo(wake)
-}
-
-// nextArrival returns the earliest strictly-future link-arrival cycle
-// across the active nodes, or MaxInt64 if nothing is in flight.
-func (r *deflRouter) nextArrival(now int64) int64 {
-	min := int64(math.MaxInt64)
-	for w, word := range r.activeMask {
-		for ; word != 0; word &= word - 1 {
-			nd := &r.nodes[w<<6+bits.TrailingZeros64(word)]
-			for p := range nd.rings {
-				ring := &nd.rings[p]
-				if ring.n > 0 {
-					if t := ring.front().at; t > now && t < min {
-						min = t
-					}
-				}
-			}
-		}
-	}
-	return min
+	r.settle(now, progressed, horizon)
 }
 
 // tickNode runs one node's cycle: gather this cycle's candidates, rank
@@ -415,17 +276,16 @@ func (r *deflRouter) nextArrival(now int64) int64 {
 // deflection, or (for at most one) the side buffer. Reports whether any
 // flit moved.
 func (r *deflRouter) tickNode(n int, now int64) bool {
-	nd := &r.nodes[n]
+	nd, fn := &r.nodes[n], &r.fn[n]
 	cands := r.cands[:0]
 
 	// Due link arrivals: at most one per input port per cycle (stamps in
 	// a ring are strictly increasing and every due front is consumed the
 	// tick it lands, so the front is the only candidate).
-	for p := range nd.rings {
-		ring := &nd.rings[p]
-		if ring.n > 0 && ring.front().at <= now {
-			cands = append(cands, deflCand{ring.front().f, p})
-			ring.pop()
+	for p := range fn.arr {
+		if q := &fn.arr[p]; q.due(now) {
+			cands = append(cands, deflCand{q.front().v, p})
+			q.pop()
 		}
 	}
 	removed := len(cands) // flits leaving this node (adjusted below)
@@ -504,7 +364,7 @@ func (r *deflRouter) tickNode(n int, now int64) bool {
 			// not charged here — deflected waste is the flit's actual
 			// hops beyond its minimal route, settled at ejection.
 			for p := 0; p < r.ports; p++ {
-				if nd.downTo[p] >= 0 && !r.portTaken[p] {
+				if fn.downTo[p] >= 0 && !r.portTaken[p] {
 					out = p
 					break
 				}
@@ -517,8 +377,8 @@ func (r *deflRouter) tickNode(n int, now int64) bool {
 				removed++
 			}
 			f.hops++
-			d := nd.downTo[out]
-			r.nodes[d].rings[nd.downIn[out]].push(now+r.m.cfg.LinkLatency, f)
+			d := fn.downTo[out]
+			r.fn[d].arr[fn.downIn[out]].push(now+r.m.cfg.LinkLatency, f)
 			r.addStaged(d, 1)
 			r.m.linkBusy[n][out]++
 			progressed = true
@@ -599,8 +459,7 @@ func (r *deflRouter) deliver(n int, pkt *deflPkt, now int64) {
 	}
 	for {
 		pair.nextDeliver++
-		r.m.complete(n, pkt.payload, pkt.injectAt, now)
-		r.inFlight--
+		r.retire(n, pkt.payload, pkt.injectAt, now)
 		pkt.payload, pkt.pair = nil, nil
 		pkt.next = r.pktFree
 		r.pktFree = pkt
