@@ -4,9 +4,8 @@
 // from: NoC topologies, router models, protocol specs, workload specs,
 // and the sweepable axes trafficsim -sweep turns into curve tables.
 //
-// The tables themselves come from job.FprintInventory, the same renderer
-// the simserver /v1/catalog endpoint serves; this command is the stdout
-// shim over it.
+// The tables themselves come from job.FprintInventory; this command is
+// the stdout shim over it.
 package main
 
 import (

@@ -6,8 +6,8 @@
 // paper's "are we there yet?" question is answered in.
 //
 // The sweep itself runs through internal/job (the same orchestration
-// layer trafficsim and the simserver share); what stays here is the
-// flag parsing and the ASCII latency-curve rendering.
+// layer trafficsim uses); what stays here is the flag parsing and the
+// ASCII latency-curve rendering.
 package main
 
 import (

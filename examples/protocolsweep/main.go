@@ -11,13 +11,14 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/mesh"
 	"repro/internal/workloads"
 )
 
 func main() {
 	bench := flag.String("bench", "kD-tree", "workload spec: a ported benchmark (fluidanimate, LU, FFT, radix, barnes, kD-tree) or a synthetic pattern like uniform(p=0.1), hotspot(t=2), prodcons")
-	topology := flag.String("topology", "mesh", "NoC topology: mesh, ring, torus")
-	router := flag.String("router", "ideal", "router model: ideal, vc")
+	topology := flag.String("topology", "mesh", "NoC topology: "+strings.Join(mesh.TopologyKinds(), ", "))
+	router := flag.String("router", "ideal", "router model: "+strings.Join(mesh.RouterKinds(), ", "))
 	workers := flag.Int("workers", 0, "parallel simulations (0 = one per CPU)")
 	extras := flag.Bool("extras", false, "append the registry's composed variants (ablations the paper never ran) to the ladder")
 	flag.Parse()

@@ -8,9 +8,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/memsys"
+	"repro/internal/mesh"
 	"repro/internal/waste"
 	"repro/internal/workloads"
 )
@@ -18,8 +20,8 @@ import (
 func main() {
 	bench := flag.String("bench", "fluidanimate", "workload spec: a benchmark name or a synthetic pattern like uniform(p=0.1)")
 	proto := flag.String("protocol", "DBypFull", "protocol configuration")
-	topology := flag.String("topology", "mesh", "NoC topology: mesh, ring, torus")
-	router := flag.String("router", "ideal", "router model: ideal, vc")
+	topology := flag.String("topology", "mesh", "NoC topology: "+strings.Join(mesh.TopologyKinds(), ", "))
+	router := flag.String("router", "ideal", "router model: "+strings.Join(mesh.RouterKinds(), ", "))
 	flag.Parse()
 
 	size := workloads.Tiny

@@ -3,16 +3,13 @@ package job
 // The unified run-progress event stream. The engine exposes two separate
 // callbacks with two separate serialization guarantees — the per-cell
 // core.MatrixOptions.Progress and the per-point core.SweepOptions.Progress
-// — and before this layer existed every client wired (and serialized) them
-// independently. A Runner merges both into ONE stream with ONE contract:
+// — and Run merges both into ONE stream with ONE contract:
 //
 //   - Events are delivered strictly one at a time, never concurrently,
-//     whatever the worker count. One mutex inside the Runner covers both
+//     whatever the worker count. One mutex inside Run covers both
 //     underlying callbacks, so cell events and point events cannot
-//     interleave mid-delivery.
-//   - Seq increases by exactly 1 per event, starting at 0. A gap-free
-//     total order is what lets a streaming transport (the HTTP NDJSON
-//     feed) resume from any position and a client detect a dropped line.
+//     interleave mid-delivery, and delivery order is the stream's total
+//     order.
 //   - Within one sweep point, events arrive in lifecycle order:
 //     "cached" alone, or "cache-corrupt" then "simulating", or
 //     "simulating" first; the point's cell events follow its "simulating";
@@ -23,14 +20,11 @@ package job
 //     Status "cache-corrupt" (an entry exists but cannot be trusted; the
 //     point resimulates) and "store-failed" (the point completed but could
 //     not persist; a later resume resimulates it). Renderers MUST print
-//     these even when a quiet flag suppresses normal progress — that is
-//     the PR 7 contract trafficsim honors under -q, and it rides on the
-//     stream's total order, not around it.
+//     these even when a quiet flag suppresses normal progress, as
+//     trafficsim does under -q.
 //
-// TestUnifiedStreamTotalOrder and TestUnifiedStreamStoreFailed pin the
+// TestRunUnifiedStreamTotalOrder and TestRunStoreFailedEvent pin the
 // contract.
-
-import "repro/internal/core"
 
 // Event kinds: which lifecycle an event belongs to.
 const (
@@ -40,15 +34,10 @@ const (
 	// KindPoint is a sweep-point event: Point/Total/Axis/Value name the
 	// point, Status says what happened to it.
 	KindPoint = "point"
-	// KindMatrix is a whole-matrix cache event (matrix jobs run with a
-	// result cache attached): Status cached, cache-corrupt or
-	// store-failed, by analogy with the sweep-point statuses.
-	KindMatrix = "matrix"
 )
 
-// Event statuses, shared by point and matrix events. Point statuses are
-// the engine's core.SweepPointStatus vocabulary verbatim, so a rendered
-// event line matches what the pre-refactor CLIs printed.
+// Point-event statuses: the engine's core.SweepPointStatus vocabulary
+// verbatim, so a rendered event line matches what trafficsim prints.
 const (
 	// StatusCached: served from the content-addressed cache; nothing
 	// simulates.
@@ -69,32 +58,25 @@ const (
 	StatusStoreFailed = "store-failed"
 )
 
-// Event is one entry of a run's unified progress stream. Exactly one of
-// the three kinds; unused fields are zero and omitted from JSON.
+// Event is one entry of a run's unified progress stream, of one of the
+// two kinds; unused fields are zero.
 type Event struct {
-	// Seq is the event's position in the run's total order: 0, 1, 2, ...
-	// with no gaps and no concurrent delivery.
-	Seq int64 `json:"seq"`
-	// Kind is KindCell, KindPoint or KindMatrix.
-	Kind string `json:"kind"`
-	// Status qualifies point and matrix events (see the Status constants);
-	// empty for cell events.
-	Status string `json:"status,omitempty"`
+	// Kind is KindCell or KindPoint.
+	Kind string
+	// Status qualifies point events (see the Status constants); empty for
+	// cell events.
+	Status string
 	// Bench and Protocol name the cell for KindCell events.
-	Bench    string `json:"bench,omitempty"`
-	Protocol string `json:"protocol,omitempty"`
+	Bench    string
+	Protocol string
 	// Point (0-based) of Total locates a KindPoint event in sweep order.
-	Point int `json:"point,omitempty"`
-	Total int `json:"total,omitempty"`
+	Point int
+	Total int
 	// Axis and Value name the swept knob and the point's x coordinate
 	// ("hotspot.t", "4") for KindPoint events.
-	Axis  string `json:"axis,omitempty"`
-	Value string `json:"value,omitempty"`
+	Axis  string
+	Value string
 	// Error carries the cache failure for the cache-corrupt and
 	// store-failed statuses.
-	Error string `json:"error,omitempty"`
+	Error string
 }
-
-// pointStatus maps the engine's sweep-point status enum onto the stream's
-// status vocabulary; the String() words are already the wire words.
-func pointStatus(s core.SweepPointStatus) string { return s.String() }

@@ -15,9 +15,8 @@ import (
 // (simulated system parameters) and Table 4.2 (application input sizes)
 // — plus the inventories of every registry axis the scenario space is
 // built from: NoC topologies, router models, protocol specs, workload
-// specs, and the sweepable axes. It is the single source both
-// cmd/papertables (stdout) and the server's /v1/catalog endpoint render
-// from; dims is the "WxH" tile grid the geometry-dependent tables use.
+// specs, and the sweepable axes. cmd/papertables prints it to stdout;
+// dims is the "WxH" tile grid the geometry-dependent tables use.
 func FprintInventory(w io.Writer, dims string) error {
 	cfg := memsys.Default()
 	mw, mh, err := memsys.ParseMeshDims(dims)

@@ -9,9 +9,9 @@ import (
 )
 
 // RenderText writes the outcome's tables exactly as cmd/trafficsim
-// prints them — the byte-identical contract every transport shares: the
-// CLI's stdout for a request equals the HTTP result endpoint's text
-// rendering for the same request.
+// prints them to stdout, so every caller that renders an Outcome (the
+// CLI, the perfbench benchmark) produces the same bytes for the same
+// request.
 //
 // Matrix runs: an optional "NoC ..." header (printed only when the run
 // deviates from the defaults or pins the mesh shape, matching the CLI's

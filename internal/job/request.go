@@ -1,21 +1,18 @@
 // Package job is the run-orchestration layer between a validated request
-// and an assembled result. It factors everything the one-shot CLIs used
-// to hand-wire — registry validation, matrix/sweep execution, progress
-// plumbing, cache/resume policy, cancellation — into three reusable
-// pieces layered under any transport:
+// and an assembled result. It factors everything the CLIs would otherwise
+// hand-wire — registry validation, matrix/sweep execution, progress
+// plumbing, sweep-point cache/resume policy, cancellation — into two
+// pieces:
 //
-//	Request  one matrix or sweep run, as plain serializable strings
-//	         (every axis is already a registry spec with loud
-//	         validation, which is what makes the API nearly free)
+//	Request  one matrix or sweep run, as plain strings (every axis is
+//	         already a registry spec with loud validation)
 //	Run      executes a Request via the core engine with ONE serialized
-//	         progress-event stream (events.go) and a content-addressed
-//	         result cache
-//	Queue    a bounded FIFO of Requests with per-job states, streamed
-//	         events, cancellation and graceful drain
+//	         progress-event stream (events.go) and, for sweeps, a
+//	         content-addressed point cache
 //
-// cmd/trafficsim, cmd/papertables and examples/loadsweep are flag-parsing
-// shims over this package; cmd/simserver is an HTTP/JSON transport over
-// Queue (server.go). See DESIGN.md "The layered run pipeline".
+// cmd/trafficsim, cmd/papertables, examples/loadsweep and the perfbench
+// benchmark are thin callers of this package. See DESIGN.md "The layered
+// run pipeline".
 package job
 
 import (
@@ -27,105 +24,56 @@ import (
 	"repro/internal/workloads"
 )
 
-// UsageError marks a request the caller got wrong — an unknown name, a
-// malformed spec, a conflicting knob combination — as opposed to a
-// simulation failing at runtime. CLIs exit 2 on it (their usage-error
-// convention) and the HTTP transport answers 400; the message is the
-// same loud text either way.
-type UsageError struct {
-	// Err is the underlying validation error, verbatim.
-	Err error
-}
-
-// Error returns the underlying message unchanged, so clients print
-// exactly the text the registries and parsers produce.
-func (e *UsageError) Error() string { return e.Err.Error() }
-
-// Unwrap exposes the underlying error to errors.Is/As.
-func (e *UsageError) Unwrap() error { return e.Err }
-
-// IsUsageError reports whether err is a request-validation error (exit 2
-// / HTTP 400) rather than a run failure (exit 1 / HTTP 500).
-func IsUsageError(err error) bool {
-	var u *UsageError
-	return errors.As(err, &u)
-}
-
-func usage(err error) error { return &UsageError{Err: err} }
-
-func usagef(format string, args ...any) error {
-	return usage(fmt.Errorf(format, args...))
-}
-
-// Request is one run, fully described by transport-friendly values: every
-// axis is a registry spec string the engine validates loudly, so a
-// Request deserialized from JSON carries exactly the same vocabulary as
-// one built from CLI flags. The zero value of each field means "engine
-// default" — mirroring the CLIs, which only pin the knobs passed
-// explicitly so sweeps can tell "defaulted" from "pinned".
+// Request is one run, fully described by plain values: every axis is a
+// registry spec string the engine validates loudly, the same vocabulary
+// the CLI flags use. The zero value of each field means "engine default"
+// — mirroring the CLIs, which only pin the knobs passed explicitly so
+// sweeps can tell "defaulted" from "pinned".
 type Request struct {
 	// Figures lists the figure tables to assemble for a matrix run:
 	// figure ids (core.FigureIDs) or "all". Meaningless under Sweep.
-	Figures []string `json:"figures,omitempty"`
+	Figures []string
 	// Summary adds the headline paper-vs-measured averages to a matrix
 	// run's output.
-	Summary bool `json:"summary,omitempty"`
+	Summary bool
 	// Size is the input scale: "tiny" (default when empty), "small" or
 	// "paper".
-	Size string `json:"size,omitempty"`
+	Size string
 	// Benchmarks selects workloads as registry specs (nil = the paper's
 	// six). A workload-parameter sweep owns this axis; setting both is an
 	// error.
-	Benchmarks []string `json:"benchmarks,omitempty"`
+	Benchmarks []string
 	// Protocols selects protocol specs (nil = the paper's nine). A
 	// protocol-axis sweep owns this axis.
-	Protocols []string `json:"protocols,omitempty"`
+	Protocols []string
 	// Sweep, when non-empty, makes this a sweep run over the given spec
 	// ("axis=v1,v2,..." or "family(key=lo..hi)"); empty means a matrix
 	// run.
-	Sweep string `json:"sweep,omitempty"`
+	Sweep string
 	// Topology pins the NoC topology ("" = mesh, the engine default —
 	// and the only spelling that lets a topology sweep run).
-	Topology string `json:"topology,omitempty"`
+	Topology string
 	// Router pins the fabric forwarding model ("" = ideal).
-	Router string `json:"router,omitempty"`
+	Router string
 	// Mesh pins the tile-grid dimensions as "WxH" ("" = the paper's 4x4).
-	Mesh string `json:"mesh,omitempty"`
+	Mesh string
 	// VCs and VCDepth pin the vc router's buffer geometry (0 = model
 	// default; dead — and rejected — under any other router).
-	VCs     int `json:"vcs,omitempty"`
-	VCDepth int `json:"vcdepth,omitempty"`
+	VCs     int
+	VCDepth int
 	// Threads is the simulated worker-thread count (0 = 16, the paper's
 	// tile count).
-	Threads int `json:"threads,omitempty"`
+	Threads int
 	// Workers bounds concurrent cell simulations (0 = one per CPU,
 	// 1 = serial). Scheduling never changes results, only wall-clock.
-	Workers int `json:"workers,omitempty"`
+	Workers int
 	// MaxPoints raises the sweep expansion cap (0 = the default cap,
 	// core.DefaultSweepPointCap).
-	MaxPoints int `json:"maxpoints,omitempty"`
+	MaxPoints int
 }
 
 // IsSweep reports whether the request is a sweep run.
 func (r *Request) IsSweep() bool { return r.Sweep != "" }
-
-// Kind names the request's run kind for statuses and logs.
-func (r *Request) Kind() string {
-	if r.IsSweep() {
-		return "sweep"
-	}
-	return "matrix"
-}
-
-// Normalize applies the CLI's output defaulting: a matrix request that
-// names no figures and no summary means "everything" — all figure tables
-// plus the summary, exactly like running trafficsim with no -fig.
-func (r *Request) Normalize() {
-	if !r.IsSweep() && len(r.Figures) == 0 && !r.Summary {
-		r.Figures = []string{"all"}
-		r.Summary = true
-	}
-}
 
 // SizeFromName resolves the input-scale name ("" defaults to tiny, the
 // scale every CLI defaults to).
@@ -155,90 +103,59 @@ func (r *Request) FigureIDs() []string {
 	return ids
 }
 
-// Validate checks everything the pre-refactor CLIs checked before paying
+// Validate checks everything the CLIs check before paying
 // for any simulation, in the same order and with the same loud messages:
 // knob conflicts, the input scale, figure ids, workload specs, the mesh
 // shape, and — for sweeps — the spec itself plus axis-ownership
-// conflicts. Every error is a UsageError (CLI exit 2, HTTP 400).
-// Deliberately NOT checked here: protocol specs, which the engine
-// validates when the run starts (the CLIs historically reported those at
-// run time with exit 1, and byte-identical behavior is pinned) — the
-// HTTP transport closes that gap with ValidateStrict.
+// conflicts. Every error here is the caller's mistake (trafficsim exits
+// 2 on it). Deliberately NOT checked here: protocol specs, which the
+// engine validates when the run starts (trafficsim reports those at run
+// time with exit 1, and that behavior is pinned).
 func (r *Request) Validate() error {
 	if (r.VCs != 0 || r.VCDepth != 0) && r.Router != "vc" {
-		return usagef("-vcs/-vcdepth configure the vc router and are dead under any other model; add -router vc")
+		return errors.New("-vcs/-vcdepth configure the vc router and are dead under any other model; add -router vc")
 	}
 	if r.MaxPoints < 0 {
-		return usagef("-maxpoints %d: the sweep cap must be >= 1 (default %d)", r.MaxPoints, core.DefaultSweepPointCap)
+		return fmt.Errorf("-maxpoints %d: the sweep cap must be >= 1 (default %d)", r.MaxPoints, core.DefaultSweepPointCap)
 	}
 	if _, err := SizeFromName(r.Size); err != nil {
-		return usage(err)
+		return err
 	}
 	for _, id := range r.Figures {
 		if id == "all" {
 			continue
 		}
 		if err := core.ValidFigureID(id); err != nil {
-			return usage(err)
+			return err
 		}
 	}
 	for _, spec := range r.Benchmarks {
 		if _, err := workloads.ParseSpec(spec); err != nil {
-			return usage(err)
+			return err
 		}
 	}
 	if r.Mesh != "" {
 		if _, _, err := memsys.ParseMeshDims(r.Mesh); err != nil {
-			return usage(err)
+			return err
 		}
 	}
 	if r.IsSweep() {
 		if len(r.Figures) > 0 || r.Summary {
-			return usagef("-sweep prints its own assembled table; drop -fig/-summary")
+			return errors.New("-sweep prints its own assembled table; drop -fig/-summary")
 		}
 		s, err := core.ParseSweepLimit(r.Sweep, r.MaxPoints)
 		if err != nil {
-			return usage(err)
+			return err
 		}
 		opt, err := r.matrixOptions()
 		if err != nil {
-			return usage(err)
+			return err
 		}
 		if _, err := s.PointOptions(opt); err != nil {
-			return usage(err)
+			return err
 		}
 	}
 	return nil
-}
-
-// ValidateStrict is Validate plus the checks the CLIs defer to run time:
-// protocol specs are resolved through the registry here, so a transport
-// that wants every malformed request rejected at submission (the HTTP
-// server's 400 contract) catches them before the job queues.
-func (r *Request) ValidateStrict() error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	for _, spec := range r.Protocols {
-		if _, err := core.ParseProtocol(spec); err != nil {
-			return usage(err)
-		}
-	}
-	return nil
-}
-
-// ParsedSweep returns the request's validated sweep spec (nil for matrix
-// requests) — the axis name and expanded point values, for renderers
-// that need them before the run completes.
-func (r *Request) ParsedSweep() (*core.SweepSpec, error) {
-	if !r.IsSweep() {
-		return nil, nil
-	}
-	s, err := core.ParseSweepLimit(r.Sweep, r.MaxPoints)
-	if err != nil {
-		return nil, usage(err)
-	}
-	return s, nil
 }
 
 // matrixOptions maps the request onto the engine's per-run options: zero

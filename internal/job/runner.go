@@ -8,18 +8,19 @@ import (
 	"repro/internal/core"
 )
 
-// RunConfig is the per-run policy a transport attaches to a Request:
-// where cached results live and where progress events go. The zero value
+// RunConfig is the per-run policy a caller attaches to a Request: where
+// cached sweep points live and where progress events go. The zero value
 // runs without a cache and without events.
 type RunConfig struct {
-	// Cache, if non-nil, is the content-addressed result store: sweep
-	// points (and whole matrices) already present are served from disk
-	// bit-identically, and completed ones persist as the run goes — which
-	// is also what makes an interrupted run resumable.
+	// Cache, if non-nil, is the content-addressed sweep-point store:
+	// points already present are served from disk bit-identically, and
+	// completed ones persist as the sweep goes — which is also what makes
+	// an interrupted sweep resumable. Sweep requests only; Run rejects a
+	// cache attached to a matrix request.
 	Cache *core.PointCache
 	// Events, if non-nil, receives the run's unified progress stream
 	// under the contract documented in events.go: serialized delivery,
-	// gap-free Seq, lifecycle order per point.
+	// lifecycle order per point.
 	Events func(Event)
 }
 
@@ -29,102 +30,64 @@ type RunConfig struct {
 // results are returned alongside the error, never discarded.
 type Outcome struct {
 	// Matrix is the matrix run's full benchmark x protocol result.
-	Matrix *core.Matrix `json:"matrix,omitempty"`
+	Matrix *core.Matrix
 	// Sweep is the sweep run's per-point results in sweep order.
-	Sweep *core.SweepResult `json:"sweep,omitempty"`
-	// Cached reports that a matrix run was served whole from the cache
-	// (sweep points carry their own per-point Cached flags).
-	Cached bool `json:"cached,omitempty"`
+	Sweep *core.SweepResult
 }
 
 // eventSink serializes the unified stream: one mutex covers every
-// emitting callback (per-cell and per-point alike), and Seq is assigned
-// under it, so delivery order IS the total order.
+// emitting callback (per-cell and per-point alike), so delivery order IS
+// the total order.
 type eventSink struct {
-	mu   sync.Mutex
-	next int64
-	fn   func(Event)
+	mu sync.Mutex
+	fn func(Event)
 }
 
 func (s *eventSink) emit(ev Event) {
-	if s == nil || s.fn == nil {
+	if s.fn == nil {
 		return
 	}
 	s.mu.Lock()
-	ev.Seq = s.next
-	s.next++
 	s.fn(ev)
 	s.mu.Unlock()
 }
 
-// Run executes a validated Request through the core engine and returns
-// the assembled Outcome. Matrix requests run via core.RunMatrixContext;
-// sweep requests via core.RunSweep, inheriting the shared worker
-// pool, bit-identical-at-any-worker-count assembly, cache/resume
-// machinery and context cancellation. Both the engine's per-cell
-// callback and its per-point callback are funneled into rc.Events as one
-// serialized stream.
+// Run executes a Request through the core engine and returns the
+// assembled Outcome. Matrix requests run via core.RunMatrixContext;
+// sweep requests via core.RunSweep, inheriting the shared worker pool,
+// bit-identical-at-any-worker-count assembly, cache/resume machinery and
+// context cancellation. Both the engine's per-cell callback and its
+// per-point callback are funneled into rc.Events as one serialized
+// stream.
 //
-// Errors: a UsageError means the request itself is wrong (callers
-// usually Validate first, making that unreachable); anything else is a
-// run failure. A cancelled or failing sweep returns the partial Outcome
-// alongside the error — with a cache attached, those points are already
-// persisted, so resubmitting the same request resumes instead of
-// restarting.
+// Run validates the request first (callers usually Validate earlier, to
+// tell a usage error from a run failure). A cancelled or failing sweep
+// returns the partial Outcome alongside the error — with a cache
+// attached, those points are already persisted, so rerunning the same
+// request resumes instead of restarting.
 func Run(ctx context.Context, req Request, rc RunConfig) (*Outcome, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
 	opt, err := req.matrixOptions()
 	if err != nil {
-		return nil, usage(err)
+		return nil, err
 	}
 	sink := &eventSink{fn: rc.Events}
 	opt.Progress = func(bench, proto string) {
 		sink.emit(Event{Kind: KindCell, Bench: bench, Protocol: proto})
 	}
-	if req.IsSweep() {
-		return runSweep(ctx, opt, req, rc, sink)
-	}
-	return runMatrix(ctx, opt, rc, sink)
-}
-
-// runMatrix runs one matrix, served whole from the cache when possible:
-// the sweep-point cache keys any resolved matrix configuration, so an
-// identical matrix submission costs a disk read, bit-identically. Trace
-// replays (ErrUncacheable) and corrupt entries fall back to simulating,
-// the latter loudly; a failure to persist the finished matrix is a
-// warning event, never the run's error.
-func runMatrix(ctx context.Context, opt core.MatrixOptions, rc RunConfig, sink *eventSink) (*Outcome, error) {
-	var key core.PointKey
-	haveKey := false
-	if rc.Cache != nil {
-		k, err := core.PointKeyFor(opt)
-		switch {
-		case errors.Is(err, core.ErrUncacheable):
-		case err != nil:
+	if !req.IsSweep() {
+		if rc.Cache != nil {
+			return nil, errors.New("the point cache serves sweep runs only; drop the cache or add a sweep")
+		}
+		m, err := core.RunMatrixContext(ctx, opt)
+		if err != nil {
 			return nil, err
-		default:
-			key, haveKey = k, true
-			m, err := rc.Cache.Load(key)
-			if err != nil {
-				sink.emit(Event{Kind: KindMatrix, Status: StatusCacheCorrupt, Error: err.Error()})
-			} else if m != nil {
-				sink.emit(Event{Kind: KindMatrix, Status: StatusCached})
-				return &Outcome{Matrix: m, Cached: true}, nil
-			}
 		}
+		return &Outcome{Matrix: m}, nil
 	}
-	m, err := core.RunMatrixContext(ctx, opt)
-	if err != nil {
-		return nil, err
-	}
-	if haveKey {
-		if err := rc.Cache.Store(key, m); err != nil {
-			sink.emit(Event{Kind: KindMatrix, Status: StatusStoreFailed, Error: err.Error()})
-		}
-	}
-	return &Outcome{Matrix: m}, nil
+	return runSweep(ctx, opt, req, rc, sink)
 }
 
 // runSweep runs one sweep, translating the engine's point events into
@@ -138,7 +101,7 @@ func runSweep(ctx context.Context, opt core.MatrixOptions, req Request, rc RunCo
 		Progress: func(ev core.SweepProgress) {
 			e := Event{
 				Kind:   KindPoint,
-				Status: pointStatus(ev.Status),
+				Status: ev.Status.String(),
 				Point:  ev.Point,
 				Total:  ev.Total,
 				Axis:   ev.Axis,

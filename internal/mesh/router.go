@@ -27,7 +27,7 @@ func RouterKinds() []string {
 }
 
 // RouterDescription returns the one-line inventory description of a
-// registered router kind (used by cmd/papertables and /v1/catalog). The
+// registered router kind (used by cmd/papertables and trafficsim -help). The
 // empty string describes the default ("ideal"); an unregistered kind is
 // an error — it used to return "" silently, which let a registry or
 // inventory drift print an empty papertables row.
